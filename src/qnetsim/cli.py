@@ -26,15 +26,22 @@ _TIME_UNITS_PS = {"s": 10**12, "ms": 10**9, "us": 10**6, "ns": 10**3, "ps": 1}
 
 
 def parse_time_ps(text) -> int:
-    """Parse a duration like '0.5s', '500ms', or '5e11ps' to picoseconds."""
+    """Parse a duration like '0.5s', '500ms', or '5e11ps' to picoseconds.
+
+    Durations are non-negative; a negative one raises ValueError.
+    """
     if isinstance(text, (int, float)):
-        return int(text)
-    m = re.fullmatch(r"\s*([0-9.eE+-]+)\s*(s|ms|us|ns|ps)?\s*", str(text))
-    if m is None:
-        raise ValueError(f"cannot parse duration {text!r}")
-    value = float(m.group(1))
-    unit = m.group(2) or "ps"
-    return int(round(value * _TIME_UNITS_PS[unit]))
+        ps = int(text)
+    else:
+        m = re.fullmatch(r"\s*([0-9.eE+-]+)\s*(s|ms|us|ns|ps)?\s*", str(text))
+        if m is None:
+            raise ValueError(f"cannot parse duration {text!r}")
+        value = float(m.group(1))
+        unit = m.group(2) or "ps"
+        ps = int(round(value * _TIME_UNITS_PS[unit]))
+    if ps < 0:
+        raise ValueError(f"duration must not be negative, got {text!r}")
+    return ps
 
 
 def _load_config(path):
@@ -180,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="duration, e.g. 0.5s / 500ms / 5e11ps")
     common.add_argument("--out-dir", default="out")
     common.add_argument("--log-level", default=None,
-                        choices=["DEBUG", "INFO", "WARN", "ERROR"])
+                        choices=["DEBUG", "INFO", "WARN"])  # SimEnv's levels
 
     sub.add_parser("run", parents=[common], help="run one scenario")
 

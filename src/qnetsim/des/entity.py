@@ -25,8 +25,8 @@ class Scheduler:
         return self.env.schedule(Event(time, owner, action, args, kwargs, priority))
 
     def schedule_after(self, delay, owner, action, *args, priority=0, **kwargs):
-        return self.schedule_at(self.env.now + delay, owner, action, *args,
-                                priority=priority, **kwargs)
+        env = self.env
+        return env.schedule(Event(env.now + delay, owner, action, args, kwargs, priority))
 
 
 class Entity:

@@ -12,6 +12,7 @@ import hashlib
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 
 import numpy as np
 
@@ -107,16 +108,16 @@ class SimEnv:
         if event.time < self.now:
             raise ValueError(
                 f"cannot schedule into the past: event time {event.time} < now {self.now}")
-        event.seq = next(self._seq)
-        self.fel.push(event)
+        event.seq = seq = next(self._seq)
+        heappush(self.fel.heap, (event.time, event.priority, seq, event))
         return EventHandle(event)
 
     def schedule_at(self, time, owner, action, *args, priority=0, **kwargs):
         return self.schedule(Event(time, owner, action, args, kwargs, priority))
 
     def schedule_after(self, delay, owner, action, *args, priority=0, **kwargs):
-        return self.schedule_at(self.now + delay, owner, action, *args,
-                                priority=priority, **kwargs)
+        return self.schedule(Event(self.now + delay, owner, action, args, kwargs,
+                                   priority))
 
     # ---- lifecycle ------------------------------------------------------
     def attach(self, entity):
@@ -134,16 +135,17 @@ class SimEnv:
         if self.state is not EnvState.INITIALIZED:
             raise RuntimeError(f"run is only legal from initialized state, not {self.state}")
         self.state = EnvState.RUNNING
+        heap, trace = self.fel.heap, self.trace
         executed = 0
-        while len(self.fel):
-            nxt = self.fel.peek()
-            if end_time is not INFINITE and nxt.time > end_time:
+        while heap:
+            time, priority, seq, event = heap[0]
+            if end_time is not INFINITE and time > end_time:
                 break
-            event = self.fel.pop()
+            heappop(heap)
             if event.cancelled:
                 continue
-            self.now = event.time
-            self.trace.append((event.time, event.priority, event.seq, event.handler_name))
+            self.now = time
+            trace.append((time, priority, seq, event.handler_name))
             event.execute()
             executed += 1
         self.state = EnvState.FINISHED

@@ -50,9 +50,6 @@ class Event:
         self.executed = True
         getattr(self.owner, self.action)(*self.args, **self.kwargs)
 
-    def __lt__(self, other):
-        return self.sort_key < other.sort_key
-
     def __repr__(self):
         return (f"Event(t={self.time}, prio={self.priority}, seq={self.seq}, "
                 f"handler={self.handler_name})")
@@ -76,21 +73,26 @@ class EventHandle:
 
 
 class FutureEventList:
-    """Heap of events ordered by (time, priority, seq)."""
+    """Heap of events ordered by (time, priority, seq).
+
+    ``heap`` holds ``(time, priority, seq, event)`` tuples, so the heap
+    compares plain integers and never calls back into Python; seq is
+    unique, so no comparison ever reaches the event itself.
+    """
 
     def __init__(self):
-        self._heap = []
+        self.heap = []
 
     def __len__(self):
-        return len(self._heap)
+        return len(self.heap)
 
     def push(self, event: Event):
         if event.seq is None:
             raise ValueError("event must be sequenced by the environment before push")
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self.heap, (event.time, event.priority, event.seq, event))
 
     def peek(self) -> Event:
-        return self._heap[0]
+        return self.heap[0][3]
 
     def pop(self) -> Event:
-        return heapq.heappop(self._heap)
+        return heapq.heappop(self.heap)[3]

@@ -4,6 +4,10 @@ A Network owns nodes and links and computes static shortest-path
 (minimum hop) routing tables at initialization, separately for the
 classical and quantum channel graphs.  Equal-length alternatives are
 broken toward the lexicographically smallest next hop.
+
+Node lookups by name go through a dict, and channel lookups are
+memoised per (sender, receiver, kind): nodes, links and channels are
+only ever added, so a channel once found stays the answer.
 """
 
 from __future__ import annotations
@@ -87,31 +91,41 @@ class Network(Entity):
         super().__init__(name, env)
         self.nodes = []
         self.links = []
+        self._by_name = {}  # node name -> node
+        self._channels = {}  # (sender, receiver, kind) -> channel, filled on lookup
         self.classical_routes = {}
         self.quantum_routes = {}
 
     def install_node(self, node: Node):
-        if any(n.name == node.name for n in self.nodes):
+        if node.name in self._by_name:
             raise ValueError(f"duplicate node name {node.name!r}")
         node.network = self
+        self._by_name[node.name] = node
         self.nodes.append(node)
         self.install(node)
 
     def install_link(self, link: Link):
         for end in link.ends:
-            if end not in self.nodes:
+            if self._by_name.get(end.name) is not end:
                 raise ValueError(
                     f"link {link.name!r} endpoint {end.name!r} is not installed")
         self.links.append(link)
         self.install(link)
 
     def node(self, name) -> Node:
-        for n in self.nodes:
-            if n.name == name:
-                return n
-        raise KeyError(f"no node named {name!r}")
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise KeyError(f"no node named {name!r}") from None
 
     def channel_between(self, src, dst, kind):
+        key = (src, dst, kind)
+        channel = self._channels.get(key)
+        if channel is None:
+            channel = self._channels[key] = self._find_channel(src, dst, kind)
+        return channel
+
+    def _find_channel(self, src, dst, kind):
         for link in self.links:
             if set(link.ends) == {src, dst}:
                 for ch in link.channels:
@@ -130,14 +144,10 @@ class Network(Entity):
         return adj
 
     @staticmethod
-    def _distances_to(adj, dst):
+    def _distances_to(reverse, dst):
+        """BFS over reversed edges: dist[v] = hops from v to dst."""
         dist = {dst: 0}
         queue = deque([dst])
-        # BFS over reversed edges: dist[v] = hops from v to dst
-        reverse = {v: set() for v in adj}
-        for u, outs in adj.items():
-            for v in outs:
-                reverse[v].add(u)
         while queue:
             v = queue.popleft()
             for u in reverse[v]:
@@ -148,9 +158,13 @@ class Network(Entity):
 
     def _routes(self, kind):
         adj = self._adjacency(kind)
+        reverse = {v: set() for v in adj}
+        for u, outs in adj.items():
+            for v in outs:
+                reverse[v].add(u)
         routes = {}
         for dst in adj:
-            dist = self._distances_to(adj, dst)
+            dist = self._distances_to(reverse, dst)
             for src in adj:
                 if src == dst or src not in dist:
                     continue

@@ -12,6 +12,8 @@ from collections import deque
 
 import numpy as np
 
+_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")  # bit bytes -> '0'/'1'
+
 
 class KeyPool:
     def __init__(self, v_max, key_length=32, v_interrupt=None, v_recover=None,
@@ -46,7 +48,7 @@ class KeyPool:
 
     def _new_key(self):
         bits = self.rng.integers(0, 2, self.key_length)
-        return "".join(map(str, bits))
+        return bits.astype(np.uint8).tobytes().translate(_BIT_CHARS).decode("ascii")
 
     def add_key(self, key=None):
         if self.v_current >= self.v_max:

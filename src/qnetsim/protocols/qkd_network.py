@@ -19,6 +19,7 @@ propagates a done message back to the source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..des import Entity
 from ..netmodel.channel import ClassicalFiberChannel, QuantumFiberChannel
@@ -28,9 +29,12 @@ from .stack import Protocol, ProtocolStack
 
 
 def xor_keys(a: str, b: str) -> str:
+    """Bitwise XOR of two equal-length '0'/'1' strings."""
     if len(a) != len(b):
         raise ValueError("key lengths differ")
-    return "".join("1" if x != y else "0" for x, y in zip(a, b))
+    if not a:
+        return ""
+    return format(int(a, 2) ^ int(b, 2), f"0{len(a)}b")
 
 
 def xor_key_lists(ka, kb):
@@ -83,13 +87,13 @@ class KeyGeneration(Protocol):
         self.pools[neighbor] = pool
 
     def start_generation(self, neighbor):
-        self.scheduler.schedule_after(self.interval_ps, self.node,
+        node = self.node
+        node.scheduler.schedule_after(self.interval_ps, node,
                                       "keygen_tick", self.name, neighbor)
 
     def tick(self, neighbor):
         self.pools[neighbor].add_key()
-        self.scheduler.schedule_after(self.interval_ps, self.node,
-                                      "keygen_tick", self.name, neighbor)
+        self.start_generation(neighbor)
 
 
 class QKDRouting(Protocol):
@@ -101,9 +105,10 @@ class QKDRouting(Protocol):
 
     def forward(self, msg, toward):
         hop = self.next_hop(toward)
+        node = self.node
         if hop is None:
-            raise RuntimeError(f"no route from {self.node.name!r} to {toward!r}")
-        self.node.send_classical_msg(self.node.network.node(hop), msg)
+            raise RuntimeError(f"no route from {node.name!r} to {toward!r}")
+        node.send_classical_msg(node.network.node(hop), msg)
 
     def handle_lower(self, sender, msg, **kwargs):
         self.send_upper(msg)
@@ -118,11 +123,12 @@ class QKDRMP(Protocol):
         self.waiting_local = []  # endnode requests waiting for segment keys
 
     # --- helpers ---------------------------------------------------------
-    @property
+    # The lower layers are found once, on first use after the stack is built.
+    @cached_property
     def routing(self) -> QKDRouting:
         return next(p for p in self.lower if isinstance(p, QKDRouting))
 
-    @property
+    @cached_property
     def keygen(self) -> KeyGeneration:
         return next(p for p in self.routing.lower if isinstance(p, KeyGeneration))
 
@@ -328,17 +334,25 @@ def build_stack(node_name, is_endnode, keygen_rate):
 
 
 class QKDNode(Node):
-    """Node that dispatches key-distribution traffic to its stack."""
+    """Node that dispatches key-distribution traffic to its stack.
+
+    Loading a (built) stack indexes its resource managers and key
+    generators, so a message or a keygen tick reaches its protocol
+    without a scan of the stack.
+    """
+
+    def load_protocol(self, stack):
+        super().load_protocol(stack)
+        self.rmps = [p for p in stack.protocols if isinstance(p, QKDRMP)]
+        self.keygens = {p.name: p for p in stack.protocols
+                        if isinstance(p, KeyGeneration)}
 
     def receive_classical_msg(self, msg, src):
-        for proto in self.stack.protocols:
-            if isinstance(proto, QKDRMP):
-                proto.handle_classical(msg, src)
+        for rmp in self.rmps:
+            rmp.handle_classical(msg, src)
 
     def keygen_tick(self, keygen_name, neighbor):
-        for proto in self.stack.protocols:
-            if isinstance(proto, KeyGeneration) and proto.name == keygen_name:
-                proto.tick(neighbor)
+        self.keygens[keygen_name].tick(neighbor)
 
 
 class KeyDistributionNetwork:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from ..des import Scheduler
-
 
 class Protocol:
     """One layer of a protocol stack.
@@ -29,7 +27,7 @@ class Protocol:
 
     @property
     def scheduler(self):
-        return Scheduler(self.env)
+        return self.node.scheduler
 
     def send_upper(self, msg, **kwargs):
         for proto in self.upper:

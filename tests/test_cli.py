@@ -29,6 +29,12 @@ def test_parse_time_rejects_garbage():
         parse_time_ps("soon")
 
 
+@pytest.mark.parametrize("text", ["-1s", "-5ps", "-1e-3ms", -7])
+def test_parse_time_rejects_negative_durations(text):
+    with pytest.raises(ValueError, match="negative"):
+        parse_time_ps(text)
+
+
 # ---- run ------------------------------------------------------------------
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -80,6 +86,26 @@ def test_run_end_time_override(tmp_path):
     # request can even be accepted, let alone finish
     rows = list(csv.reader(open(tmp_path / "short" / "results.csv")))
     assert all(row[5] != "done" for row in rows[1:])
+
+
+def test_run_negative_end_time_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"scenario": "keypool", "seed": 3})
+    # "--end-time -1s" already fails in argparse, which takes "-1s" for an
+    # option; the "=" form reaches parse_time_ps
+    assert main(["run", "--config", cfg, "--end-time=-1s",
+                 "--out-dir", str(tmp_path / "neg")]) == 2
+    assert "negative" in capsys.readouterr().err
+    assert main(["run", "--config", cfg, "--end-time", "-1s",
+                 "--out-dir", str(tmp_path / "neg")]) == 2
+    assert not (tmp_path / "neg").exists()
+
+
+def test_run_unknown_log_level_exits_2(tmp_path, capsys):
+    cfg = _write_config(tmp_path, {"scenario": "chsh", "rounds": 100})
+    assert main(["run", "--config", cfg, "--log-level", "ERROR",
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert "--log-level" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---- compile --------------------------------------------------------------

@@ -58,6 +58,32 @@ def test_fel_pops_in_sort_key_order(items):
     assert popped == sorted(popped)
 
 
+def test_fel_breaks_time_priority_ties_by_seq_without_comparing_events():
+    assert "__lt__" not in vars(Event)
+    fel = FutureEventList()
+    for seq in (3, 1, 2):
+        ev = Event(7, None, f"e{seq}", priority=1)
+        ev.seq = seq
+        fel.push(ev)
+    assert fel.peek().action == "e1"
+    assert [fel.pop().action for _ in range(3)] == ["e1", "e2", "e3"]
+    assert len(fel) == 0
+
+
+def test_cancelled_tie_is_skipped_and_the_rest_run_in_seq_order():
+    env = SimEnv("t")
+    rec = Recorder("r", env)
+    env.init()
+    env.schedule_at(5, rec, "note", "first")
+    handle = env.schedule_at(5, rec, "note", "cancelled")
+    env.schedule_at(5, rec, "note", "third")
+    handle.cancel()
+    report = env.run()
+    assert [tag for _, tag in rec.seen] == ["first", "third"]
+    assert [seq for _, _, seq, _ in env.trace] == [0, 2]
+    assert report.events_executed == 2
+
+
 def test_schedule_before_init_rejected():
     env = SimEnv("t")
     rec = Recorder("r", env)

@@ -2,9 +2,12 @@
 
 import json
 
+from collections import deque
+
 import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnetsim.des import SimEnv
 from qnetsim.netmodel import (FIBER_LOSS_DB_PER_KM, ClassicalFiberChannel,
@@ -168,6 +171,101 @@ def test_duplicate_node_name_rejected(env):
     net.install_node(Node("A", env=env))
     with pytest.raises(ValueError):
         net.install_node(Node("A", env=env))
+
+
+def _bfs_hops_from(adj, src):
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        u = queue.popleft()
+        for v in adj[u]:
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return dist
+
+
+@settings(deadline=None)
+@given(st.integers(2, 9).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda e: e[0] != e[1]), max_size=3 * n, unique=True))))
+def test_routes_match_brute_force_bfs(graph):
+    """Directed random graphs: every next hop starts a shortest path, and
+    among those it is the lexicographically smallest neighbour."""
+    n, arcs = graph
+    names = [f"n{i}" for i in range(n)]
+    env = SimEnv("routes")
+    net = Network("n", env=env)
+    nodes = [Node(name, env=env) for name in names]
+    for node in nodes:
+        net.install_node(node)
+    for i, (a, b) in enumerate(arcs):
+        link = Link(f"l{i}", ends=(nodes[a], nodes[b]), env=env)
+        net.install_link(link)
+        link.install_channel(ClassicalFiberChannel(
+            f"c{i}", nodes[a], nodes[b], 1.0, env=env))
+    env.init()
+    adj = {name: sorted({names[b] for a, b in arcs if names[a] == name})
+           for name in names}
+    hops = {name: _bfs_hops_from(adj, name) for name in names}
+    expected = {}
+    for src in names:
+        for dst, d in hops[src].items():
+            if dst != src:
+                expected[(src, dst)] = min(v for v in adj[src]
+                                           if hops[v].get(dst) == d - 1)
+    assert net.classical_routes == expected
+    assert net.quantum_routes == {}
+
+
+# ---- lookups --------------------------------------------------------------
+
+def _pair(env):
+    net = Network("n", env=env)
+    a, b = Node("A", env=env), Node("B", env=env)
+    net.install_node(a)
+    net.install_node(b)
+    link = Link("A-B", ends=(a, b), env=env)
+    net.install_link(link)
+    chans = {}
+    for s, r in ((a, b), (b, a)):
+        chans[(s.name, r.name, "c")] = ClassicalFiberChannel(
+            f"c:{s.name}->{r.name}", s, r, 1.0, env=env)
+        link.install_channel(chans[(s.name, r.name, "c")])
+    chans[("A", "B", "q")] = QuantumFiberChannel("q:A->B", a, b, 1.0, env=env)
+    link.install_channel(chans[("A", "B", "q")])
+    return net, a, b, link, chans
+
+
+def test_node_lookup_by_name_and_unknown_name(env):
+    net, a, b, _link, _chans = _pair(env)
+    assert net.node("A") is a and net.node("B") is b
+    with pytest.raises(KeyError, match="no node named 'Z'"):
+        net.node("Z")
+
+
+def test_channel_between_picks_direction_and_kind(env):
+    net, a, b, _link, chans = _pair(env)
+    for _ in range(2):  # the second round is served from the memo
+        assert net.channel_between(a, b, ClassicalFiberChannel) is chans[("A", "B", "c")]
+        assert net.channel_between(b, a, ClassicalFiberChannel) is chans[("B", "A", "c")]
+        assert net.channel_between(a, b, QuantumFiberChannel) is chans[("A", "B", "q")]
+    assert a.channel_to(b) is chans[("A", "B", "c")]
+
+
+def test_channel_between_missing_raises_and_is_not_cached(env):
+    net, a, b, link, _chans = _pair(env)
+    for _ in range(2):
+        with pytest.raises(LookupError, match="QuantumFiberChannel from 'B' to 'A'"):
+            net.channel_between(b, a, QuantumFiberChannel)
+    late = QuantumFiberChannel("q:B->A", b, a, 1.0, env=env)
+    link.install_channel(late)
+    assert net.channel_between(b, a, QuantumFiberChannel) is late
+    c = Node("C", env=env)
+    net.install_node(c)
+    with pytest.raises(LookupError):
+        net.channel_between(a, c, ClassicalFiberChannel)
 
 
 # ---- topology documents ---------------------------------------------------

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from qnetsim.des import SimEnv
 from qnetsim.netmodel import (ClassicalFiberChannel, Link, Network, Node,
@@ -113,6 +114,27 @@ def test_xor_keys_identity():
     b = "".join(map(str, rng.integers(0, 2, 64)))
     assert xor_keys(xor_keys(a, b), b) == a
     assert xor_keys(a, a) == "0" * 64
+
+
+@given(st.integers(0, 80).flatmap(lambda n: st.tuples(
+    st.text("01", min_size=n, max_size=n), st.text("01", min_size=n, max_size=n))))
+def test_xor_keys_matches_per_character_reference(pair):
+    a, b = pair
+    assert xor_keys(a, b) == "".join("1" if x != y else "0" for x, y in zip(a, b))
+
+
+def test_xor_keys_rejects_length_mismatch():
+    with pytest.raises(ValueError):
+        xor_keys("01", "011")
+
+
+@pytest.mark.parametrize("key_length", [0, 1, 32, 257])
+def test_new_key_matches_per_bit_reference(key_length):
+    pool = KeyPool(4, key_length=key_length, rng=np.random.default_rng(11))
+    reference = np.random.default_rng(11)
+    for _ in range(5):
+        expected = "".join(map(str, reference.integers(0, 2, key_length)))
+        assert pool._new_key() == expected
 
 
 def test_trusted_repeater_unwind():
