@@ -49,10 +49,13 @@ def _bitstring(outcomes, regs):
     return "".join(str(outcomes[r]) for r in regs)
 
 
-def run_shot(circ: Circuit, rng, shot=0) -> OutcomeRecord:
-    state = StateVector(circ.width)
+def run_shot(circ: Circuit, rng, shot=0, start=0, state=None) -> OutcomeRecord:
+    """Run one shot from instruction `start` on `state` (by default a
+    fresh all-zero state over the circuit's width), which it mutates."""
+    if state is None:
+        state = StateVector(circ.width)
     outcomes = OutcomeRecord(shot)
-    for inst in circ:
+    for inst in circ.instructions[start:]:
         if inst.name == "measure":
             outcomes[inst.regs[0]] = measure(state, inst.regs[0], rng)
         else:
@@ -62,13 +65,24 @@ def run_shot(circ: Circuit, rng, shot=0) -> OutcomeRecord:
 
 def run_circuit(circ: Circuit, shots: int, seed=0) -> Counter:
     """Sample the circuit; histogram keyed by measured-register bits in
-    ascending register order."""
+    ascending register order.
+
+    The gates before the first measurement draw nothing and (by
+    `validate`) are unconditioned, so they are applied once per call and
+    every shot starts from a copy of that prefix state.
+    """
     circ.validate()
     rng = np.random.default_rng(seed)
     regs = circ.measured_regs
+    insts = circ.instructions
+    start = next((i for i, inst in enumerate(insts) if inst.name == "measure"),
+                 len(insts))
+    prefix, no_outcomes = StateVector(circ.width), OutcomeRecord()
+    for inst in insts[:start]:
+        apply_gate(prefix, inst, no_outcomes)
     hist = Counter()
     for shot in range(shots):
-        outcomes = run_shot(circ, rng, shot)
+        outcomes = run_shot(circ, rng, shot, start, prefix.copy())
         hist[_bitstring(outcomes, regs)] += 1
     return hist
 
@@ -93,10 +107,10 @@ def exact_state(circ: Circuit) -> dict:
             if inst.name == "measure":
                 reg = inst.regs[0]
                 p1 = state.prob_one(reg)
-                for bit, p in ((0, 1.0 - p1), (1, p1)):
-                    if p < 1e-14:
-                        continue
-                    branch = state.copy()
+                live = [(bit, p) for bit, p in ((0, 1.0 - p1), (1, p1)) if p >= 1e-14]
+                for bit, p in live:
+                    # the last live branch takes the parent state itself
+                    branch = state if bit == live[-1][0] else state.copy()
                     branch.project(reg, bit)
                     sub = OutcomeRecord()
                     sub.update(outcomes)

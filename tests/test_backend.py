@@ -89,6 +89,135 @@ def test_project_impossible_outcome_raises():
         state.project(0, 1)
 
 
+
+# ---- in-place kernels against a dense reference ---------------------------
+
+def dense_operator(matrix, targets, n):
+    """The 2^n x 2^n operator of `matrix` on `targets` (first target is the
+    most significant bit of the matrix index): kron(matrix, I) in an order
+    where the targets lead, permuted back to the register order."""
+    k = len(targets)
+    rest = [q for q in reversed(range(n)) if q not in targets]
+    order = list(targets) + rest  # most significant first
+    index = np.arange(2**n)
+    perm = np.zeros(2**n, dtype=int)
+    for pos, q in enumerate(order):
+        perm |= ((index >> q) & 1) << (n - 1 - pos)
+    full = np.kron(np.asarray(matrix), np.eye(2 ** (n - k)))
+    return full[np.ix_(perm, perm)]
+
+
+def random_state(rng, n):
+    amps = rng.normal(size=2**n) + 1j * rng.normal(size=2**n)
+    return StateVector(amplitudes=amps / np.linalg.norm(amps))
+
+
+def random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def assert_matches_dense(state, matrix, targets):
+    expected = dense_operator(matrix, targets, state.n) @ state.amps
+    state.apply(matrix, targets)
+    assert np.max(np.abs(state.amps - expected)) < 1e-12
+
+
+def test_dense_reference_agrees_with_known_gates():
+    # |01> (reg 0 set) under cnot with control reg 0 -> |11>
+    op = dense_operator(gate_matrix("cnot"), (0, 1), 2)
+    assert np.allclose(op @ [0, 1, 0, 0], [0, 0, 0, 1])
+    assert np.allclose(dense_operator(gate_matrix("x"), (1,), 2) @ [1, 0, 0, 0],
+                       [0, 0, 1, 0])
+
+
+EXACT_1Q = ["z", "s", "t", "x", "y"]
+CONTROLLED = ["cnot", "cz", "cy", "crx", "cry", "crz"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_apply_random_one_qubit_unitary_matches_dense(n, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    reg = data.draw(st.integers(0, n - 1))
+    assert_matches_dense(random_state(rng, n), random_unitary(rng, 2), (reg,))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_apply_diagonal_and_antidiagonal_gates_match_dense(n, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    reg = data.draw(st.integers(0, n - 1))
+    a, b = np.exp(1j * rng.uniform(0, 2 * np.pi, size=2))
+    matrix = data.draw(st.sampled_from(
+        [gate_matrix(name) for name in EXACT_1Q]
+        + [gate_matrix("rz", (rng.uniform(0, 2 * np.pi),)),
+           np.diag([a, b]), np.array([[0, a], [b, 0]])]))
+    assert_matches_dense(random_state(rng, n), matrix, (reg,))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 7), st.sampled_from(CONTROLLED), st.booleans(), st.data())
+def test_apply_controlled_gates_match_dense(n, name, control_above, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    lo = data.draw(st.integers(0, n - 2))
+    hi = data.draw(st.integers(lo + 1, n - 1))
+    targets = (hi, lo) if control_above else (lo, hi)
+    params = (rng.uniform(0, 2 * np.pi),) if name[1] == "r" else None
+    assert_matches_dense(random_state(rng, n), gate_matrix(name, params), targets)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 7), st.booleans(), st.data())
+def test_apply_swap_and_random_two_qubit_unitary_match_dense(n, swap, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    targets = tuple(data.draw(st.permutations(range(n)))[:2])
+    matrix = gate_matrix("swap") if swap else random_unitary(rng, 4)
+    assert_matches_dense(random_state(rng, n), matrix, targets)
+
+
+@pytest.mark.parametrize("matrix,targets", [
+    (gate_matrix("cnot"), (1, 1)),  # duplicate targets
+    (gate_matrix("h"), (3,)),  # register out of range
+    (gate_matrix("h"), (-1,)),
+    (gate_matrix("h"), (0, 1)),  # 2x2 matrix on two registers
+    (gate_matrix("cnot"), (0,)),  # 4x4 matrix on one register
+    (np.ones(2, dtype=complex), (0,)),  # not a matrix
+], ids=["duplicate", "out-of-range", "negative", "2x2-on-two", "4x4-on-one",
+        "vector"])
+def test_apply_rejects_bad_input_before_writing(matrix, targets):
+    state = random_state(np.random.default_rng(0), 3)
+    before = state.amps.copy()
+    with pytest.raises(ValueError):
+        state.apply(matrix, targets)
+    assert np.array_equal(state.amps, before)
+
+
+def test_copy_is_unaffected_by_mutations_of_the_original():
+    a = random_state(np.random.default_rng(1), 4)
+    b = a.copy()
+    before = b.amps.copy()
+    a.apply(gate_matrix("h"), (2,))
+    a.apply(gate_matrix("cnot"), (0, 3))
+    a.apply(gate_matrix("rz", (0.4,)), (1,))
+    a.project(2, 1)
+    a.remove_qubit(2, 1)
+    assert b.n == 4
+    assert np.array_equal(b.amps, before)
+    assert not np.shares_memory(a.amps, b.amps)
+
+
+def test_project_keeps_the_one_minus_other_normalisation():
+    state = random_state(np.random.default_rng(2), 3)
+    v = state.amps.reshape(-1, 2, 2)
+    p_other = float(np.vdot(v[:, 0], v[:, 0]).real)
+    kept = v[:, 1].copy()
+    p = state.project(1, 1)
+    assert p == pytest.approx(1.0 - p_other, abs=1e-15)
+    assert np.allclose(state.amps.reshape(-1, 2, 2)[:, 1], kept / np.sqrt(p), atol=1e-15)
+    assert not state.amps.reshape(-1, 2, 2)[:, 0].any()
+
+
 # ---- circuits ------------------------------------------------------------
 
 def test_circuit_builder_and_width():
@@ -171,6 +300,34 @@ def test_sampling_agrees_with_exact_probabilities():
     hist = run_circuit(circ, shots=20000, seed=5)
     for key, p in probs.items():
         assert abs(hist[key] / 20000 - p) < 0.02
+
+
+
+def test_run_circuit_draws_like_independent_shots():
+    """run_circuit evolves the measurement-free prefix once; each shot must
+    still see the same RNG draws as a shot run from scratch."""
+    from qnetsim.backend.simulator import run_shot
+    circ = (Circuit().add("h", 0).add("ry", 1, params=(0.7,)).add("cnot", (0, 2))
+            .add("measure", 0).add("x", 1, cond=0).add("h", 2)
+            .add("measure", 1).add("measure", 2))
+    rng = np.random.default_rng(17)
+    expected = {}
+    for shot in range(300):
+        outcomes = run_shot(circ, rng, shot)
+        key = "".join(str(outcomes[r]) for r in circ.measured_regs)
+        expected[key] = expected.get(key, 0) + 1
+    assert run_circuit(circ, 300, seed=17) == expected
+
+
+def test_exact_state_leaf_states_are_distinct():
+    circ = (Circuit().add("h", 0).add("h", 1).add("cnot", (1, 2))
+            .add("measure", 0).add("measure", 1).add("x", 2, cond=1).add("measure", 2))
+    states = [state for _p, state in exact_state(circ).values()]
+    assert len(states) == 4
+    for i, a in enumerate(states):
+        for b in states[i + 1:]:
+            assert a is not b
+            assert not np.shares_memory(a.amps, b.amps)
 
 
 @settings(max_examples=20, deadline=None)
