@@ -207,10 +207,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _glue_end_time(argv):
+    """`--end-time -1s` -> `--end-time=-1s`, which argparse hands to
+    parse_time_ps instead of taking "-1s" for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--end-time":
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_glue_end_time(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     if args.command == "run":

@@ -1,10 +1,9 @@
-from .event import Event, EventHandle, FutureEventList
+from .event import Event, FutureEventList
 from .env import SimEnv, SimReport, EnvState, get_default_env, set_default_env, clear_default_env
 from .entity import Entity, Scheduler
 
 __all__ = [
     "Event",
-    "EventHandle",
     "FutureEventList",
     "SimEnv",
     "SimReport",

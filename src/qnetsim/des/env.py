@@ -16,7 +16,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .event import Event, EventHandle, FutureEventList
+from .event import Event, FutureEventList
 
 INFINITE = None  # sentinel: run until the future event list drains
 
@@ -46,6 +46,10 @@ class EnvState(Enum):
     INITIALIZED = "initialized"
     RUNNING = "running"
     FINISHED = "finished"
+
+
+# read on every schedule; a lookup through the Enum class costs several times more
+_CREATED, _FINISHED = EnvState.CREATED, EnvState.FINISHED
 
 
 @dataclass
@@ -100,17 +104,22 @@ class SimEnv:
         self._log_lines.append(f"{self.now}\t{level}\t{name}\t{message}")
 
     # ---- scheduling -----------------------------------------------------
-    def schedule(self, event: Event) -> EventHandle:
-        if self.state is EnvState.CREATED:
+    def schedule(self, event: Event) -> Event:
+        """Put `event` on the timeline and return it (`event.cancel()` drops
+        it); an executed event may be scheduled again and gets the next seq."""
+        if self.state is _CREATED:
             raise RuntimeError("cannot schedule events before the environment is initialized")
-        if self.state is EnvState.FINISHED:
+        if self.state is _FINISHED:
             raise RuntimeError("cannot schedule events on a finished environment")
         if event.time < self.now:
             raise ValueError(
                 f"cannot schedule into the past: event time {event.time} < now {self.now}")
+        if event.seq is not None and not event.executed:
+            raise ValueError(f"{event!r} is already scheduled")
+        event.executed = False
         event.seq = seq = next(self._seq)
         heappush(self.fel.heap, (event.time, event.priority, seq, event))
-        return EventHandle(event)
+        return event
 
     def schedule_at(self, time, owner, action, *args, priority=0, **kwargs):
         return self.schedule(Event(time, owner, action, args, kwargs, priority))
@@ -136,17 +145,21 @@ class SimEnv:
             raise RuntimeError(f"run is only legal from initialized state, not {self.state}")
         self.state = EnvState.RUNNING
         heap, trace = self.fel.heap, self.trace
+        limit = float("inf") if end_time is INFINITE else end_time
         executed = 0
         while heap:
-            time, priority, seq, event = heap[0]
-            if end_time is not INFINITE and time > end_time:
+            item = heappop(heap)
+            time, priority, seq, event = item
+            if time > limit:
+                heappush(heap, item)  # not due yet: put it back
                 break
-            heappop(heap)
             if event.cancelled:
                 continue
             self.now = time
             trace.append((time, priority, seq, event.handler_name))
-            event.execute()
+            # set before the call: the handler may schedule this event again
+            event.executed = True
+            getattr(event.owner, event.action)(*event.args, **event.kwargs)
             executed += 1
         self.state = EnvState.FINISHED
         if logging and self._log_path is not None:

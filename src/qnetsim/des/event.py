@@ -16,11 +16,13 @@ class Event:
     """A scheduled change of system status at a particular time.
 
     The handler is an owning object plus a named action: executing the
-    event calls ``getattr(owner, action)(*args, **kwargs)``.
+    event calls ``getattr(owner, action)(*args, **kwargs)``.  An event is
+    in the future event list at most once; once executed, it may be
+    scheduled again with a new ``time``, so a periodic loop reuses one.
     """
 
     __slots__ = ("time", "priority", "seq", "owner", "action", "args",
-                 "kwargs", "cancelled", "executed")
+                 "kwargs", "cancelled", "executed", "handler_name")
 
     def __init__(self, time, owner, action, args=(), kwargs=None, priority=0):
         if time < 0:
@@ -34,42 +36,23 @@ class Event:
         self.kwargs = dict(kwargs) if kwargs else {}
         self.cancelled = False
         self.executed = False
+        owner_name = getattr(owner, "name", type(owner).__name__)
+        self.handler_name = f"{owner_name}.{action}"
 
     @property
     def sort_key(self):
         return (self.time, self.priority, self.seq)
 
-    @property
-    def handler_name(self):
-        owner_name = getattr(self.owner, "name", type(self.owner).__name__)
-        return f"{owner_name}.{self.action}"
-
-    def execute(self):
-        if self.executed or self.cancelled:
-            raise RuntimeError(f"event {self.handler_name} already consumed")
-        self.executed = True
-        getattr(self.owner, self.action)(*self.args, **self.kwargs)
+    def cancel(self):
+        """Drop the event before it runs; after it has run, warn and do nothing."""
+        if self.executed:
+            warnings.warn(f"cancelling already-executed event {self!r}; no-op")
+            return
+        self.cancelled = True
 
     def __repr__(self):
         return (f"Event(t={self.time}, prio={self.priority}, seq={self.seq}, "
                 f"handler={self.handler_name})")
-
-
-class EventHandle:
-    """Handle returned by scheduling; allows cancellation."""
-
-    def __init__(self, event: Event):
-        self._event = event
-
-    @property
-    def event(self):
-        return self._event
-
-    def cancel(self):
-        if self._event.executed:
-            warnings.warn(f"cancelling already-executed event {self._event!r}; no-op")
-            return
-        self._event.cancelled = True
 
 
 class FutureEventList:

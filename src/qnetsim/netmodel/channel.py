@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..des import Entity
+from ..des import Entity, Event
 
 FIBER_LOSS_DB_PER_KM = 0.2
 PS_PER_KM = 5_000_000  # 1 km / (2e8 m/s) in picoseconds
@@ -34,10 +34,6 @@ class Channel(Entity):
         self.receiver = receiver
         self.distance_km = distance_km
 
-    def connect(self, sender, receiver):
-        self.sender = sender
-        self.receiver = receiver
-
     @property
     def delay_ps(self) -> int:
         return classical_delay_ps(self.distance_km)
@@ -54,9 +50,10 @@ class ClassicalFiberChannel(Channel):
     def transmit(self, msg, src=None, priority=0):
         """Schedule delivery at now + propagation delay (FIFO)."""
         self._check_attached(src if src is not None else self.sender)
-        self.env.schedule_after(self.delay_ps, self.receiver,
-                                "receive_classical_msg", msg, self.sender,
-                                priority=priority)
+        env = self.env
+        env.schedule(Event(env.now + self.delay_ps, self.receiver,
+                           "receive_classical_msg", (msg, self.sender), None,
+                           priority))
 
 
 class QuantumFiberChannel(Channel):

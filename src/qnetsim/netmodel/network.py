@@ -7,7 +7,8 @@ broken toward the lexicographically smallest next hop.
 
 Node lookups by name go through a dict, and channel lookups are
 memoised per (sender, receiver, kind): nodes, links and channels are
-only ever added, so a channel once found stays the answer.
+only ever added, so a channel once found stays the answer.  The first
+classical channel toward a destination is memoised until routes change.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ class Node(Entity):
         self.devices = {}
         self.stack = None
         self.location = location
-        self.mobility = None
         self.network = None
 
     def install_device(self, device):
@@ -43,20 +43,11 @@ class Node(Entity):
         self.stack = stack
         stack.owner_node = self
 
-    def load_mobility(self, mobility):
-        self.mobility = mobility
-
     # ---- messaging ------------------------------------------------------
     def channel_to(self, dst, kind=ClassicalFiberChannel):
         if self.network is None:
             raise RuntimeError(f"node {self.name!r} is not installed in a network")
         return self.network.channel_between(self, dst, kind)
-
-    def send_classical_msg(self, dst, msg):
-        self.channel_to(dst, ClassicalFiberChannel).transmit(msg, src=self)
-
-    def send_quantum_msg(self, dst, qubit):
-        self.channel_to(dst, QuantumFiberChannel).transmit(qubit, src=self)
 
     def receive_classical_msg(self, msg, src):
         if self.stack is not None:
@@ -72,9 +63,6 @@ class Link(Entity):
         super().__init__(name, env)
         self.ends = tuple(ends) if ends else None
         self.channels = []
-
-    def connect(self, a, b):
-        self.ends = (a, b)
 
     def install_channel(self, channel: Channel):
         if self.ends is None:
@@ -93,6 +81,7 @@ class Network(Entity):
         self.links = []
         self._by_name = {}  # node name -> node
         self._channels = {}  # (sender, receiver, kind) -> channel, filled on lookup
+        self._toward = {}  # (sender, destination name) -> first classical channel
         self.classical_routes = {}
         self.quantum_routes = {}
 
@@ -135,50 +124,58 @@ class Network(Entity):
             f"no {kind.__name__} from {src.name!r} to {dst.name!r}")
 
     # ---- routing --------------------------------------------------------
-    def _adjacency(self, kind):
-        adj = {n.name: set() for n in self.nodes}
-        for link in self.links:
-            for ch in link.channels:
-                if isinstance(ch, kind):
-                    adj[ch.sender.name].add(ch.receiver.name)
-        return adj
-
     @staticmethod
-    def _distances_to(reverse, dst):
-        """BFS over reversed edges: dist[v] = hops from v to dst."""
+    def _next_hops_to(reverse, dst):
+        """BFS over reversed edges: the smallest next hop toward dst of each
+        node that reaches it (all its candidates are dequeued before it)."""
         dist = {dst: 0}
+        hop = {}
         queue = deque([dst])
         while queue:
             v = queue.popleft()
+            d = dist[v] + 1
             for u in reverse[v]:
                 if u not in dist:
-                    dist[u] = dist[v] + 1
+                    dist[u] = d
+                    hop[u] = v
                     queue.append(u)
-        return dist
+                elif dist[u] == d and v < hop[u]:
+                    hop[u] = v  # lexicographic tie-break
+        return hop
 
     def _routes(self, kind):
-        adj = self._adjacency(kind)
-        reverse = {v: set() for v in adj}
-        for u, outs in adj.items():
-            for v in outs:
-                reverse[v].add(u)
+        reverse = {n.name: set() for n in self.nodes}  # receiver -> senders
+        for link in self.links:
+            for ch in link.channels:
+                if isinstance(ch, kind):
+                    reverse[ch.receiver.name].add(ch.sender.name)
         routes = {}
-        for dst in adj:
-            dist = self._distances_to(reverse, dst)
-            for src in adj:
-                if src == dst or src not in dist:
-                    continue
-                hops = [n for n in adj[src] if dist.get(n, float("inf")) == dist[src] - 1]
-                routes[(src, dst)] = min(hops)  # lexicographic tie-break
+        for dst in reverse:
+            for src, hop in self._next_hops_to(reverse, dst).items():
+                routes[(src, dst)] = hop
         return routes
 
     def compute_routes(self):
         self.classical_routes = self._routes(ClassicalFiberChannel)
         self.quantum_routes = self._routes(QuantumFiberChannel)
+        self._toward.clear()
 
     def next_hop(self, src, dst, quantum=False) -> str | None:
         table = self.quantum_routes if quantum else self.classical_routes
         return table.get((src, dst))
+
+    def channel_toward(self, src, dst) -> ClassicalFiberChannel | None:
+        """The classical channel from node `src` to its next hop toward the
+        node named `dst`, or None when `dst` is unreachable."""
+        key = (src, dst)
+        channel = self._toward.get(key)
+        if channel is None:
+            hop = self.next_hop(src.name, dst)
+            if hop is None:
+                return None
+            channel = self._toward[key] = self.channel_between(
+                src, self._by_name[hop], ClassicalFiberChannel)
+        return channel
 
     def route(self, src, dst, quantum=False):
         """Full node-name path src..dst, or None when unreachable."""

@@ -13,6 +13,7 @@ from collections import deque
 import numpy as np
 
 _BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")  # bit bytes -> '0'/'1'
+_BLOCK = 64  # keys drawn from the pool's random stream per call
 
 
 class KeyPool:
@@ -33,9 +34,8 @@ class KeyPool:
         self.generated = 0
         self.delivered = 0
         self._reservations = {}  # request id -> delivered keys, readable once more
-        self.on_interrupt = None  # callback(pool) when service stops
-        self.on_recover = []  # callbacks(pool) when service resumes
         self.on_add = []  # callbacks(pool) after every added key
+        self._ahead = []  # keys drawn but not yet used, last one first
 
     @property
     def v_current(self) -> int:
@@ -47,18 +47,24 @@ class KeyPool:
         return self
 
     def _new_key(self):
-        bits = self.rng.integers(0, 2, self.key_length)
-        return bits.astype(np.uint8).tobytes().translate(_BIT_CHARS).decode("ascii")
+        """The next key of the pool's stream, drawn a block at a time: numpy
+        takes one 32-bit word per 0/1 value and buffers nothing between
+        calls, so a block holds the same keys as one draw per key."""
+        if not self._ahead:
+            n = self.key_length
+            bits = self.rng.integers(0, 2, (_BLOCK, n))
+            text = bits.astype(np.uint8).tobytes().translate(_BIT_CHARS).decode("ascii")
+            self._ahead = [text[i * n:(i + 1) * n] for i in reversed(range(_BLOCK))]
+        return self._ahead.pop()
 
     def add_key(self, key=None):
-        if self.v_current >= self.v_max:
+        keys = self.keys
+        if len(keys) >= self.v_max:
             return False
-        self.keys.append(key if key is not None else self._new_key())
+        keys.append(key if key is not None else self._new_key())
         self.generated += 1
-        if self.status == "replenishing" and self.v_current >= self.v_recover:
+        if self.status == "replenishing" and len(keys) >= self.v_recover:
             self.status = "serving"
-            for callback in self.on_recover:
-                callback(self)
         for callback in self.on_add:
             callback(self)
         return True
@@ -80,8 +86,6 @@ class KeyPool:
         self.delivered += count
         if self.v_current < self.v_interrupt:
             self.status = "replenishing"
-            if self.on_interrupt is not None:
-                self.on_interrupt(self)
         return keys
 
     def take_for(self, request_id, count):

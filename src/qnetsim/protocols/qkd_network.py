@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ..des import Entity
+from ..des import Entity, Event
 from ..netmodel.channel import ClassicalFiberChannel, QuantumFiberChannel
 from ..netmodel.network import Link, Network, Node
 from .keypool import KeyPool
@@ -71,47 +71,45 @@ class KeyGeneration(Protocol):
     Generation runs as a steady event-driven loop at `rate` keys per
     second per pool (a full pool drops the key).  Every added key may
     flip a replenishing pool back to serving and wakes the resource
-    managers waiting on the pool.
+    managers waiting on the pool.  Each tick re-arms its loop's one event.
     """
 
     def __init__(self, name, rate=1000.0):
         super().__init__(name)
         self.rate = rate
+        self.interval_ps = round(1e12 / rate)
         self.pools = {}  # neighbor name -> KeyPool (shared with the neighbor)
-
-    @property
-    def interval_ps(self) -> int:
-        return round(1e12 / self.rate)
+        self._timers = {}  # neighbor name -> the event of its generation loop
 
     def attach_pool(self, neighbor, pool):
         self.pools[neighbor] = pool
 
     def start_generation(self, neighbor):
+        if neighbor in self._timers:
+            raise RuntimeError(f"{self.name}: generation toward {neighbor!r} "
+                               "is already running")
         node = self.node
-        node.scheduler.schedule_after(self.interval_ps, node,
-                                      "keygen_tick", self.name, neighbor)
+        timer = Event(node.env.now + self.interval_ps, node, "keygen_tick",
+                      (self.name, neighbor))
+        self._timers[neighbor] = node.env.schedule(timer)
 
     def tick(self, neighbor):
         self.pools[neighbor].add_key()
-        self.start_generation(neighbor)
+        timer = self._timers[neighbor]
+        env = timer.owner.env
+        timer.time = env.now + self.interval_ps
+        env.schedule(timer)
 
 
 class QKDRouting(Protocol):
     """Static shortest-path routing layer."""
 
-    def next_hop(self, dst_name):
-        network = self.node.network
-        return network.next_hop(self.node.name, dst_name)
-
     def forward(self, msg, toward):
-        hop = self.next_hop(toward)
         node = self.node
-        if hop is None:
+        channel = node.network.channel_toward(node, toward)
+        if channel is None:
             raise RuntimeError(f"no route from {node.name!r} to {toward!r}")
-        node.send_classical_msg(node.network.node(hop), msg)
-
-    def handle_lower(self, sender, msg, **kwargs):
-        self.send_upper(msg)
+        channel.transmit(msg, node)
 
 
 class QKDRMP(Protocol):
@@ -155,9 +153,7 @@ class QKDRMP(Protocol):
 
     # --- message handling ------------------------------------------------
     def handle_classical(self, msg, src):
-        request = msg["request"]
-        handler = getattr(self, f"_on_{msg['type'].lower()}")
-        handler(request, msg)
+        self._HANDLERS[msg["type"]](self, msg["request"], msg)
 
     def _is_repeater_for(self, request):
         name = self.node.name
@@ -293,9 +289,10 @@ class QKDRMP(Protocol):
                 self._try_complete_dst(request)
         self.waiting_local = still_waiting
 
-    def handle_lower(self, sender, msg, **kwargs):
-        if msg.get("type") == "POOL_RECOVERED":
-            self.pool_recovered()
+    # message type -> handler, taken once from the methods above
+    _HANDLERS = {"REQUEST": _on_request, "REJECT": _on_reject,
+                 "ACCEPT": _on_accept, "CIPHERTEXT": _on_ciphertext,
+                 "ACK": _on_ack, "DONE": _on_done}
 
 
 class QKDApp(Protocol):
@@ -303,7 +300,6 @@ class QKDApp(Protocol):
 
     def __init__(self, name):
         super().__init__(name)
-        self.issued = []
         self.finished = []
 
     @property
@@ -311,7 +307,6 @@ class QKDApp(Protocol):
         return next(p for p in self.lower if isinstance(p, QKDRMP))
 
     def issue(self, request: KeyRequest):
-        self.issued.append(request)
         self.rmp.initiate(request)
 
     def handle_lower(self, sender, msg, **kwargs):
@@ -408,12 +403,6 @@ class KeyDistributionNetwork:
     def schedule_request(self, time_ps, request: KeyRequest):
         env = self.network.env
         env.schedule_at(time_ps, _RequestIssuer(self, request, env), "fire")
-
-    def requests_finished(self):
-        out = []
-        for name in self.endnodes:
-            out.extend(self.app_of(name).finished)
-        return out
 
 
 class _RequestIssuer:

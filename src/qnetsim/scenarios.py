@@ -40,8 +40,8 @@ def _write_csv(path, header, rows):
 
 def _write_trace(env, path):
     with open(path, "w") as f:
-        for time, priority, seq, handler in env.trace:
-            f.write(f"{time}\t{priority}\t{seq}\t{handler}\n")
+        f.writelines(f"{time}\t{priority}\t{seq}\t{handler}\n"
+                     for time, priority, seq, handler in env.trace)
 
 
 def write_manifest(out_dir, config, seed):

@@ -90,13 +90,14 @@ def test_run_end_time_override(tmp_path):
 
 def test_run_negative_end_time_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"scenario": "keypool", "seed": 3})
-    # "--end-time -1s" already fails in argparse, which takes "-1s" for an
-    # option; the "=" form reaches parse_time_ps
+    # both forms reach parse_time_ps, although argparse alone would take
+    # "-1s" for an option
     assert main(["run", "--config", cfg, "--end-time=-1s",
                  "--out-dir", str(tmp_path / "neg")]) == 2
     assert "negative" in capsys.readouterr().err
     assert main(["run", "--config", cfg, "--end-time", "-1s",
                  "--out-dir", str(tmp_path / "neg")]) == 2
+    assert "must not be negative" in capsys.readouterr().err
     assert not (tmp_path / "neg").exists()
 
 

@@ -217,3 +217,75 @@ def test_log_lines_format_and_level_filter():
     env.log("DEBUG", rec, "hidden")
     env.log("WARN", rec, "shown")
     assert env._log_lines == ["42\tWARN\tr\tshown"]
+
+
+# ---- events are their own handles -------------------------------------------
+
+def test_schedule_returns_the_event_and_cancel_drops_it():
+    env = SimEnv("t")
+    rec = Recorder("r", env)
+    env.init()
+    event = env.schedule_at(10, rec, "note", "dropped")
+    assert isinstance(event, Event)
+    assert (event.time, event.seq, event.handler_name) == (10, 0, "r.note")
+    env.schedule_at(20, rec, "note", "kept")
+    event.cancel()
+    report = env.run()
+    assert rec.seen == [(20, "kept")]
+    assert report.events_executed == 1
+    assert not event.executed
+
+
+def test_cancel_after_execution_warns_and_does_nothing():
+    env = SimEnv("t")
+    rec = Recorder("r", env)
+    env.init()
+    event = env.schedule_at(10, rec, "note", "ran")
+    env.run()
+    with pytest.warns(UserWarning, match="already-executed"):
+        event.cancel()
+    assert event.executed and not event.cancelled
+    assert rec.seen == [(10, "ran")]
+
+
+class Ticker(Entity):
+    """Re-arms the event that called it, as a periodic loop does."""
+
+    def __init__(self, name, env=None):
+        super().__init__(name, env)
+        self.timer = None
+
+    def tick(self):
+        self.timer.time = self.env.now + 10
+        self.env.schedule(self.timer)
+
+    def stop(self):
+        self.timer.cancel()
+
+
+def test_executed_event_rescheduled_gets_the_next_seq_and_can_be_cancelled():
+    env = SimEnv("t")
+    ticker = Ticker("k", env)
+    rec = Recorder("r", env)
+    env.init()
+    ticker.timer = env.schedule(Event(10, ticker, "tick"))
+    env.schedule_at(15, rec, "note", "x")
+    env.schedule_at(25, ticker, "stop")
+    env.run(end_time=100)  # a timer that cannot be cancelled ticks until then
+    assert env.trace == [(10, 0, 0, "k.tick"), (15, 0, 1, "r.note"),
+                         (20, 0, 3, "k.tick"), (25, 0, 2, "k.stop")]
+    assert ticker.timer.cancelled and not ticker.timer.executed
+
+
+def test_pending_event_cannot_be_scheduled_twice():
+    env = SimEnv("t")
+    rec = Recorder("r", env)
+    env.init()
+    event = env.schedule_at(10, rec, "note", "once")
+    with pytest.raises(ValueError, match="already scheduled"):
+        env.schedule(event)
+    event.cancel()
+    with pytest.raises(ValueError, match="already scheduled"):
+        env.schedule(event)
+    env.run()
+    assert rec.seen == []

@@ -268,6 +268,31 @@ def test_channel_between_missing_raises_and_is_not_cached(env):
         net.channel_between(a, c, ClassicalFiberChannel)
 
 
+def test_channel_toward_follows_routes_computed_again(env):
+    net = Network("n", env=env)
+    a, b, c = (Node(name, env=env) for name in "ABC")
+    for node in (a, b, c):
+        net.install_node(node)
+
+    def connect(s, r):
+        link = Link(f"{s.name}-{r.name}", ends=(s, r), env=env)
+        net.install_link(link)
+        channel = ClassicalFiberChannel(f"c:{s.name}->{r.name}", s, r, 1.0, env=env)
+        link.install_channel(channel)
+        return channel
+
+    a_to_b = connect(a, b)
+    connect(b, c)
+    env.init()
+    for _ in range(2):  # the second round is served from the memo
+        assert net.channel_toward(a, "C") is a_to_b
+    assert net.channel_toward(c, "A") is None
+    a_to_c = connect(a, c)
+    assert net.channel_toward(a, "C") is a_to_b  # routes not yet recomputed
+    net.compute_routes()
+    assert net.channel_toward(a, "C") is a_to_c
+
+
 # ---- topology documents ---------------------------------------------------
 
 TOPOLOGY = {

@@ -375,3 +375,46 @@ def test_oversized_request_is_rejected():
     kdn.schedule_request(0, req)
     env.run(end_time=10**11)
     assert req.state == "rejected"
+
+
+# ---- reusable keygen timers and block-drawn pool keys ----------------------
+
+def test_keygen_loop_reuses_one_event_per_pool():
+    env = SimEnv("kg", seed=0)
+    network, endnodes = build_chain_network(env, n_repeaters=0, distance_km=1.0)
+    kdn = KeyDistributionNetwork(network, endnodes, pool_capacity=10,
+                                 keygen_rate=1000.0)
+    env.init()
+    kdn.start()
+    (timer,) = [event for *_, event in env.fel.heap]
+    env.run(end_time=5 * 10**9 + 1)
+    ticks = [line for line in env.trace if line[3] == "A.keygen_tick"]
+    assert len(ticks) == len(env.trace) == 5
+    assert [t for t, *_ in ticks] == [k * 10**9 for k in range(1, 6)]
+    assert [seq for _, _, seq, _ in ticks] == [0, 1, 2, 3, 4]
+    assert [event for *_, event in env.fel.heap] == [timer]
+    assert (timer.time, timer.seq) == (6 * 10**9, 5)
+
+
+def _reference_keys(seed, key_length, count):
+    rng = np.random.default_rng(seed)
+    return ["".join(map(str, rng.integers(0, 2, key_length))) for _ in range(count)]
+
+
+@pytest.mark.parametrize("key_length", [0, 1, 7, 32])
+def test_pool_keys_across_block_boundaries_match_single_draws(key_length):
+    pool = KeyPool(200, key_length=key_length, rng=np.random.default_rng(5))
+    pool.fill(150)  # crosses two 64-key blocks
+    pool.add_key()
+    assert list(pool.keys) == _reference_keys(5, key_length, 151)
+
+
+def test_fill_on_partly_full_pool_draws_one_key_per_slot():
+    pool = KeyPool(10, key_length=8, rng=np.random.default_rng(3)).fill(6)
+    pool.fill()  # ten draws for four free slots: six keys are dropped
+    expected = _reference_keys(3, 8, 17)
+    assert list(pool.keys) == expected[:10]
+    assert pool.generated == 10
+    assert pool.deliver(1) == expected[:1]
+    pool.add_key()  # the seventeenth draw of the stream
+    assert pool.keys[-1] == expected[16]
