@@ -64,20 +64,26 @@ class OutcomeRecord(dict):
 
 
 class Circuit:
-    """Ordered list of instructions; dynamic or standard."""
+    """Ordered list of instructions; dynamic or standard.
+
+    Add instructions through `append` (or `add`), which keeps the width
+    up to date.
+    """
 
     def __init__(self, instructions=None):
-        self.instructions = list(instructions or [])
+        self.instructions = []
+        self._width = 0
+        for inst in instructions or ():
+            self.append(inst)
 
     @property
     def width(self) -> int:
-        top = -1
-        for inst in self.instructions:
-            top = max(top, max(inst.regs))
-        return top + 1
+        """One more than the highest register used (0 when empty)."""
+        return self._width
 
     def append(self, inst: CircuitInstruction):
         self.instructions.append(inst)
+        self._width = max(self._width, max(inst.regs) + 1)
 
     # convenience builders
     def add(self, name, regs, params=None, cond=None):

@@ -1,30 +1,25 @@
-"""Circuit execution: sampling shots and exact branch enumeration."""
+"""Circuit execution: sampling shots and exact branch enumeration.
+
+Both quantum engines run on one branch walker, `walk`.  A program is a
+flat list of steps over register positions: `Gate(matrix, regs, cond)`,
+`Alloc(single)` (a fresh highest register) and `Measure(reg, key, basis,
+drop)`.  At a measurement a split rule picks the outcomes to follow:
+`exact_split` enumerates both, `stratified_split` divides a shot count
+binomially and `shot_split` samples one.
+"""
 
 from __future__ import annotations
 
 from collections import Counter
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, CircuitInstruction, OutcomeRecord
+from .circuit import Circuit, OutcomeRecord
 from .gates import gate_matrix
 from .statevector import StateVector
 
 EXACT_STATE_MAX_WIDTH = 20
-
-
-def apply_gate(state: StateVector, inst: CircuitInstruction,
-               outcomes: OutcomeRecord) -> StateVector:
-    """Apply one (possibly conditioned) gate instruction in place."""
-    if inst.name == "measure":
-        raise ValueError("apply_gate does not handle measurements")
-    if inst.cond is not None:
-        if inst.cond not in outcomes:
-            raise ValueError(f"cond register {inst.cond} has no recorded outcome")
-        if outcomes[inst.cond] == 0:
-            return state
-    state.apply(gate_matrix(inst.name, inst.params), inst.regs)
-    return state
 
 
 def measure(state: StateVector, reg: int, rng) -> int:
@@ -45,6 +40,94 @@ def is_standard(circ: Circuit) -> bool:
     return True
 
 
+class Gate(NamedTuple):
+    """Apply `matrix` to `regs`; with `cond`, only if that key measured 1."""
+    matrix: np.ndarray
+    regs: tuple
+    cond: object = None
+
+
+class Alloc(NamedTuple):
+    """Tensor the one-qubit state `single` on as the new highest register."""
+    single: np.ndarray
+
+
+class Measure(NamedTuple):
+    """Measure `reg` and record the outcome under `key`.  `basis(outcomes)`,
+    if set, gives the rotation taking the measurement basis to Z; with
+    `drop` the measured register is removed."""
+    reg: int
+    key: object
+    basis: Callable | None = None
+    drop: bool = False
+
+
+def exact_split(p1, prob):
+    """Both outcomes of non-negligible probability, weighted by prob * p."""
+    return [(bit, prob * p) for bit, p in ((0, 1.0 - p1), (1, p1)) if p >= 1e-14]
+
+
+def stratified_split(rng):
+    """Split a shot count binomially: one draw, only when 0 < p1 < 1."""
+    def split(p1, n):
+        n1 = int(rng.binomial(n, p1)) if 0.0 < p1 < 1.0 else (n if p1 >= 1.0 else 0)
+        return [(bit, m) for bit, m in ((0, n - n1), (1, n1)) if m]
+    return split
+
+
+def shot_split(rng):
+    """One sampled outcome per measurement: a single rng.random() draw."""
+    return lambda p1, weight: ((int(rng.random() < p1), weight),)
+
+
+def walk(program, state, split, weight, leaf):
+    """Run `program` on `state`, branching at every measurement.
+
+    A measurement rotates by its basis (if any), reads p1, and asks
+    `split(p1, weight)` for the (bit, weight) branches to follow; the last
+    branch takes `state` itself, any other a copy.  Each finished branch
+    calls `leaf(outcomes, weight, state)`, where outcomes maps key -> bit.
+    The walk is depth first, bit 0 before bit 1.
+    """
+    outcomes = {}
+
+    def run(i, state, weight):
+        while i < len(program):
+            step = program[i]
+            i += 1
+            if type(step) is Gate:
+                if step.cond is None or outcomes[step.cond]:
+                    state.apply(step.matrix, step.regs)
+            elif type(step) is Alloc:
+                state.append_qubit(step.single)
+            else:
+                reg, key, basis, drop = step
+                if basis is not None:
+                    state.apply(basis(outcomes), (reg,))
+                branches = split(state.prob_one(reg), weight)
+                if not branches:
+                    return
+                for bit, weight in branches:
+                    branch = state if bit == branches[-1][0] else state.copy()
+                    branch.project(reg, bit)
+                    if drop:
+                        branch.remove_qubit(reg, bit)
+                    outcomes[key] = bit
+                    if branch is not state:
+                        run(i, branch, weight)
+        leaf(outcomes, weight, state)
+
+    run(0, state, weight)
+
+
+def circuit_program(instructions):
+    """Walker program of circuit instructions, one step each; every gate
+    matrix is looked up once."""
+    return [Measure(inst.regs[0], inst.regs[0]) if inst.name == "measure"
+            else Gate(gate_matrix(inst.name, inst.params), inst.regs, inst.cond)
+            for inst in instructions]
+
+
 def _bitstring(outcomes, regs):
     return "".join(str(outcomes[r]) for r in regs)
 
@@ -52,15 +135,11 @@ def _bitstring(outcomes, regs):
 def run_shot(circ: Circuit, rng, shot=0, start=0, state=None) -> OutcomeRecord:
     """Run one shot from instruction `start` on `state` (by default a
     fresh all-zero state over the circuit's width), which it mutates."""
-    if state is None:
-        state = StateVector(circ.width)
-    outcomes = OutcomeRecord(shot)
-    for inst in circ.instructions[start:]:
-        if inst.name == "measure":
-            outcomes[inst.regs[0]] = measure(state, inst.regs[0], rng)
-        else:
-            apply_gate(state, inst, outcomes)
-    return outcomes
+    record = OutcomeRecord(shot)
+    walk(circuit_program(circ.instructions[start:]),
+         StateVector(circ.width) if state is None else state, shot_split(rng), None,
+         lambda outcomes, _weight, _state: record.update(outcomes))
+    return record
 
 
 def run_circuit(circ: Circuit, shots: int, seed=0) -> Counter:
@@ -74,16 +153,19 @@ def run_circuit(circ: Circuit, shots: int, seed=0) -> Counter:
     circ.validate()
     rng = np.random.default_rng(seed)
     regs = circ.measured_regs
-    insts = circ.instructions
-    start = next((i for i, inst in enumerate(insts) if inst.name == "measure"),
-                 len(insts))
-    prefix, no_outcomes = StateVector(circ.width), OutcomeRecord()
-    for inst in insts[:start]:
-        apply_gate(prefix, inst, no_outcomes)
+    program = circuit_program(circ)
+    start = next((i for i, step in enumerate(program) if type(step) is Measure),
+                 len(program))
+    prefix = StateVector(circ.width)
+    walk(program[:start], prefix, None, None, lambda *_: None)
     hist = Counter()
-    for shot in range(shots):
-        outcomes = run_shot(circ, rng, shot, start, prefix.copy())
+
+    def leaf(outcomes, _weight, _state):
         hist[_bitstring(outcomes, regs)] += 1
+
+    split, rest = shot_split(rng), program[start:]
+    for _shot in range(shots):
+        walk(rest, prefix.copy(), split, None, leaf)
     return hist
 
 
@@ -98,29 +180,12 @@ def exact_state(circ: Circuit) -> dict:
         raise ValueError(f"circuit width {circ.width} exceeds "
                          f"{EXACT_STATE_MAX_WIDTH}-qubit enumeration limit")
     regs = circ.measured_regs
-    insts = circ.instructions
     results = {}
 
-    def walk(i, state, outcomes, prob):
-        for idx in range(i, len(insts)):
-            inst = insts[idx]
-            if inst.name == "measure":
-                reg = inst.regs[0]
-                p1 = state.prob_one(reg)
-                live = [(bit, p) for bit, p in ((0, 1.0 - p1), (1, p1)) if p >= 1e-14]
-                for bit, p in live:
-                    # the last live branch takes the parent state itself
-                    branch = state if bit == live[-1][0] else state.copy()
-                    branch.project(reg, bit)
-                    sub = OutcomeRecord()
-                    sub.update(outcomes)
-                    sub[reg] = bit
-                    walk(idx + 1, branch, sub, prob * p)
-                return
-            apply_gate(state, inst, outcomes)
+    def leaf(outcomes, prob, state):
         results[_bitstring(outcomes, regs)] = (prob, state)
 
-    walk(0, StateVector(circ.width), OutcomeRecord(), 1.0)
+    walk(circuit_program(circ), StateVector(circ.width), exact_split, 1.0, leaf)
     return results
 
 

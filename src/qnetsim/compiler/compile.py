@@ -25,13 +25,6 @@ class CompileError(ValueError):
         self.index = index
 
 
-def _largest_reg(circuit: Circuit) -> int:
-    top = -1
-    for inst in circuit:
-        top = max(top, max(inst.regs))
-    return top
-
-
 def _resolve_cond(op: LocalOp, knowledge):
     if op.cond is None:
         return None
@@ -56,7 +49,7 @@ def compile_single(op: LocalOp, reg: LocalRegister, circuit: Circuit,
     unit = reg[op.addr]
     _check_unit_operable(unit, op)
     if unit.qubit is None:
-        unit.qubit = _largest_reg(circuit) + 1
+        unit.qubit = circuit.width
     cond = _resolve_cond(op, knowledge)
     circuit.append(CircuitInstruction(op.name, (unit.qubit,), op.params, cond))
     if op.name == "measure":
@@ -75,12 +68,11 @@ def compile_double(op: LocalOp, reg: LocalRegister, circuit: Circuit,
     unit0, unit1 = reg[addr0], reg[addr1]
     _check_unit_operable(unit0, op)
     _check_unit_operable(unit1, op)
-    fresh = _largest_reg(circuit)
+    fresh = circuit.width
     if unit0.qubit is None:
-        fresh += 1
         unit0.qubit = fresh
-    if unit1.qubit is None:
         fresh += 1
+    if unit1.qubit is None:
         unit1.qubit = fresh
     cond = _resolve_cond(op, knowledge)
     circuit.append(CircuitInstruction(op.name, (unit0.qubit, unit1.qubit),

@@ -1,10 +1,9 @@
-from .pattern import ResourceGraph, MeasurementSpec, VertexSets, load_pattern, dump_pattern
+from .pattern import ResourceGraph, MeasurementSpec, load_pattern, dump_pattern
 from .engine import run_pattern, max_active_width, dense_oracle, sample_pattern
 
 __all__ = [
     "ResourceGraph",
     "MeasurementSpec",
-    "VertexSets",
     "run_pattern",
     "max_active_width",
     "dense_oracle",

@@ -1,14 +1,16 @@
 """MBQC execution with vertex dynamic classification.
 
-Vertices move through pending -> active -> measured.  A qubit is only
-allocated when its vertex activates, and the qubit of a measured vertex
-is dropped from the background state immediately, keeping the effective
+A pattern (graph, order, specs) compiles once into a static program for
+the branch walker (`backend.simulator.walk`).  Vertices move through
+pending -> active -> measured: a vertex's qubit is allocated when it
+activates and dropped as soon as it is measured, keeping the effective
 width at the number of active vertices.
 
-Before measuring a vertex, every still-unrealized incident edge is
-realized as a CZ (activating pending endpoints first) and recorded in an
-edge ledger, so each edge of the graph contributes exactly one CZ over
-the whole run regardless of measurement order.
+Before a vertex is measured, every still-unrealized incident edge is
+realized as a CZ (activating pending endpoints first), so each edge of
+the graph contributes exactly one CZ whatever the measurement order.
+None of this depends on measurement outcomes, only the bases do, so
+every register position is resolved when the program is built.
 """
 
 from __future__ import annotations
@@ -16,8 +18,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend.gates import gate_matrix
+from ..backend.simulator import (Alloc, Gate, Measure, exact_split, shot_split,
+                                 stratified_split, walk)
 from ..backend.statevector import PLUS, StateVector
-from .pattern import MeasurementSpec, ResourceGraph, VertexSets
+from .pattern import ResourceGraph
 
 DENSE_ORACLE_MAX_VERTICES = 16
 
@@ -37,115 +41,73 @@ def _check_order(graph: ResourceGraph, order, specs=None):
             earlier.add(v)
 
 
-class _BackgroundState:
-    """Statevector over the currently active vertices."""
-
-    def __init__(self, graph: ResourceGraph):
-        if graph.input_state is not None:
-            self.state = graph.input_state.copy()
-            self.active = list(graph.input_vertices)
-        else:
-            self.state = StateVector(0)
-            self.active = []
-
-    def activate(self, vertex):
-        self.state.append_qubit(PLUS)
-        self.active.append(vertex)
-
-    def position(self, vertex):
-        return self.active.index(vertex)
-
-    def cz(self, u, v):
-        self.state.apply(_CZ, (self.position(u), self.position(v)))
-
-    def measure(self, vertex, basis, rng=None, forced_bit=None):
-        """Measure in the given basis and drop the qubit.
-
-        Returns (bit, probability).  With `forced_bit` the outcome is
-        projected rather than sampled (used by the branch enumerator).
-        """
-        v0, v1 = basis
-        pos = self.position(vertex)
-        rotation = np.array([v0.conj(), v1.conj()])  # maps v0 -> |0>, v1 -> |1>
-        self.state.apply(rotation, (pos,))
-        if forced_bit is None:
-            p1 = self.state.prob_one(pos)
-            bit = int(rng.random() < p1)
-            prob = p1 if bit else 1.0 - p1
-            self.state.project(pos, bit)
-        else:
-            bit = forced_bit
-            p1 = self.state.prob_one(pos)
-            prob = p1 if bit else 1.0 - p1
-            if prob < 1e-14:
-                return bit, 0.0
-            self.state.project(pos, bit)
-        self.state.remove_qubit(pos, bit)
-        self.active.pop(pos)
-        return bit, prob
-
-    def copy(self):
-        clone = _BackgroundState.__new__(_BackgroundState)
-        clone.state = self.state.copy()
-        clone.active = list(self.active)
-        return clone
+def _rotation(spec):
+    """Basis callback of a measurement: the rotation taking the spec's
+    basis, adapted to earlier outcomes, to Z."""
+    def basis(outcomes):
+        v0, v1 = spec.basis(outcomes)
+        return np.array([v0.conj(), v1.conj()])  # maps v0 -> |0>, v1 -> |1>
+    return basis
 
 
-def _prepare_step(graph, background, sets, ledger, k):
-    """Activate k and realize its unrealized incident edges."""
-    if k in sets.pending:
-        sets.pending.remove(k)
-        sets.active.append(k)
-        if background is not None:
-            background.activate(k)
-    for j in sorted(graph.neighbors(k), key=str):
-        edge = frozenset((j, k))
-        if edge in ledger:
-            continue
-        if j in sets.pending:
-            sets.pending.remove(j)
-            sets.active.append(j)
-            if background is not None:
-                background.activate(j)
-        if background is not None:
-            background.cz(j, k)
-        ledger.add(edge)
+def _program(graph: ResourceGraph, order, specs=None, dense=False):
+    """The pattern's walker program and its peak number of active vertices.
+
+    With `dense`, every vertex and edge is realized before the first
+    measurement.  Without `specs` the measurements carry no basis.
+    """
+    active = list(graph.input_vertices)
+    realized = set()
+    program = []
+
+    def activate(v):
+        active.append(v)
+        program.append(Alloc(PLUS))
+
+    def realize(a, b):
+        program.append(Gate(_CZ, (active.index(a), active.index(b))))
+        realized.add(frozenset((a, b)))
+
+    if dense:
+        for v in graph.vertices:
+            if v not in active:
+                activate(v)
+        for edge in graph.edges:
+            realize(*edge)
+    peak = len(active)
+    for k in order:
+        if k not in active:
+            activate(k)
+        for j in sorted(graph.neighbors(k), key=str):
+            if frozenset((j, k)) not in realized:
+                if j not in active:
+                    activate(j)
+                realize(j, k)
+        peak = max(peak, len(active))
+        pos = active.index(k)
+        basis = None if specs is None else _rotation(specs[k])
+        program.append(Measure(pos, k, basis, True))
+        active.pop(pos)
+    return program, peak
 
 
-def _initial_sets(graph: ResourceGraph) -> VertexSets:
-    inputs = set(graph.input_vertices)
-    return VertexSets(pending=[v for v in graph.vertices if v not in inputs],
-                      active=list(graph.input_vertices), measured=[])
+def _input_state(graph: ResourceGraph) -> StateVector:
+    return StateVector(0) if graph.input_state is None else graph.input_state.copy()
 
 
 def run_pattern(graph: ResourceGraph, order, specs: dict, rng) -> dict:
     """Execute the pattern; returns {vertex: outcome bit}."""
     _check_order(graph, order, specs)
-    sets = _initial_sets(graph)
-    background = _BackgroundState(graph)
-    ledger = set()
     outcomes = {}
-    for k in order:
-        _prepare_step(graph, background, sets, ledger, k)
-        bit, _ = background.measure(k, specs[k].basis(outcomes), rng=rng)
-        outcomes[k] = bit
-        sets.active.remove(k)
-        sets.measured.append(k)
+    walk(_program(graph, order, specs)[0], _input_state(graph), shot_split(rng), None,
+         lambda seen, _weight, _state: outcomes.update(seen))
     return outcomes
 
 
 def max_active_width(graph: ResourceGraph, order) -> int:
     """Peak number of simultaneously active vertices; no state allocation."""
     _check_order(graph, order)
-    sets = _initial_sets(graph)
-    ledger = set()
-    peak = len(sets.active)
-    for k in order:
-        _prepare_step(graph, None, sets, ledger, k)
-        peak = max(peak, len(sets.active))
-        sets.active.remove(k)
-        sets.measured.append(k)
-    return peak
+    return _program(graph, order)[1]
 
 
 def sample_pattern(graph: ResourceGraph, order, specs: dict, shots: int,
@@ -161,77 +123,32 @@ def sample_pattern(graph: ResourceGraph, order, specs: dict, shots: int,
     _check_order(graph, order, specs)
     counts = {}
 
-    def walk(i, background, sets, ledger, outcomes, n):
-        if n == 0:
-            return
-        if i == len(order):
+    def leaf(outcomes, n, _state):
+        if n:
             counts["".join(str(outcomes[v]) for v in order)] = n
-            return
-        k = order[i]
-        _prepare_step(graph, background, sets, ledger, k)
-        sets.active.remove(k)
-        sets.measured.append(k)
-        basis = specs[k].basis(outcomes)
-        v0, v1 = basis
-        pos = background.position(k)
-        rotated = background.copy()
-        rotated.state.apply(np.array([v0.conj(), v1.conj()]), (pos,))
-        p1 = rotated.state.prob_one(pos)
-        n1 = int(rng.binomial(n, p1)) if 0.0 < p1 < 1.0 else (n if p1 >= 1.0 else 0)
-        for bit, n_bit in ((0, n - n1), (1, n1)):
-            if n_bit == 0:
-                continue
-            branch = background.copy()
-            branch.measure(k, basis, forced_bit=bit)
-            outcomes[k] = bit
-            walk(i + 1, branch, _copy_sets(sets), set(ledger), outcomes, n_bit)
-            del outcomes[k]
 
-    walk(0, _BackgroundState(graph), _initial_sets(graph), set(), {}, shots)
+    walk(_program(graph, order, specs)[0], _input_state(graph), stratified_split(rng),
+         shots, leaf)
     return counts
-
-
-def _copy_sets(sets: VertexSets) -> VertexSets:
-    return VertexSets(pending=list(sets.pending), active=list(sets.active),
-                      measured=list(sets.measured))
 
 
 def dense_oracle(graph: ResourceGraph, specs: dict, order) -> dict:
     """Exact outcome distribution by full-state branch enumeration.
 
     Builds the complete entangled resource state up front (input state
-    tensored with |+> vertices, one CZ per edge) and recursively branches
-    over both outcomes of every measurement.  Keys are outcome bitstrings
-    in measurement order.
+    tensored with |+> vertices, one CZ per edge) and branches over both
+    outcomes of every measurement.  Keys are outcome bitstrings in
+    measurement order.
     """
     _check_order(graph, order, specs)
     if len(graph) > DENSE_ORACLE_MAX_VERTICES:
         raise ValueError(f"graph with {len(graph)} vertices exceeds the "
                          f"{DENSE_ORACLE_MAX_VERTICES}-vertex enumeration limit")
-    background = _BackgroundState(graph)
-    for v in graph.vertices:
-        if v not in background.active:
-            background.activate(v)
-    for edge in graph.edges:
-        a, b = tuple(edge)
-        background.cz(a, b)
-
     dist = {}
 
-    def walk(i, state, outcomes, prob):
-        if i == len(order):
-            dist["".join(str(outcomes[v]) for v in order)] = prob
-            return
-        k = order[i]
-        basis = specs[k].basis(outcomes)
-        for bit in (0, 1):
-            branch = state.copy()
-            _, p = branch.measure(k, basis, forced_bit=bit)
-            if p < 1e-14:
-                continue
-            outcomes[k] = bit
-            walk(i + 1, branch, outcomes, prob * p)
-            del outcomes[k]
+    def leaf(outcomes, prob, _state):
+        dist["".join(str(outcomes[v]) for v in order)] = prob
 
-    walk(0, background, {}, 1.0)
+    walk(_program(graph, order, specs, dense=True)[0], _input_state(graph), exact_split,
+         1.0, leaf)
     return dist

@@ -12,21 +12,13 @@ outcomes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..backend.statevector import StateVector
 
 BASIS_TOL = 1e-10
-
-
-@dataclass
-class VertexSets:
-    """The pending/active/measured partition maintained during a run."""
-    pending: list = field(default_factory=list)
-    active: list = field(default_factory=list)
-    measured: list = field(default_factory=list)
 
 
 class ResourceGraph:

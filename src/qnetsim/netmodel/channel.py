@@ -33,10 +33,7 @@ class Channel(Entity):
         self.sender = sender
         self.receiver = receiver
         self.distance_km = distance_km
-
-    @property
-    def delay_ps(self) -> int:
-        return classical_delay_ps(self.distance_km)
+        self.delay_ps = classical_delay_ps(distance_km)
 
     def _check_attached(self, src):
         if self.sender is None or self.receiver is None:

@@ -179,7 +179,6 @@ class QKDRMP(Protocol):
     def _on_reject(self, request, msg):
         if self.node.name == request.src:
             request.state = "rejected"
-            self._notify_app(request)
         else:
             self.routing.forward(msg, request.src)
 
@@ -268,10 +267,6 @@ class QKDRMP(Protocol):
             return
         request.advance("done")
         request.completed_ps = self.env.now
-        self._notify_app(request)
-
-    def _notify_app(self, request):
-        self.send_upper({"type": "REQUEST_FINISHED", "request": request})
 
     # --- pool recovery ----------------------------------------------------
     def pool_recovered(self, pool=None):
@@ -296,11 +291,7 @@ class QKDRMP(Protocol):
 
 
 class QKDApp(Protocol):
-    """Top layer on endnodes: issues requests and collects completions."""
-
-    def __init__(self, name):
-        super().__init__(name)
-        self.finished = []
+    """Top layer on endnodes: issues requests."""
 
     @property
     def rmp(self) -> QKDRMP:
@@ -308,10 +299,6 @@ class QKDApp(Protocol):
 
     def issue(self, request: KeyRequest):
         self.rmp.initiate(request)
-
-    def handle_lower(self, sender, msg, **kwargs):
-        if msg.get("type") == "REQUEST_FINISHED":
-            self.finished.append(msg["request"])
 
 
 def build_stack(node_name, is_endnode, keygen_rate):
@@ -401,14 +388,13 @@ class KeyDistributionNetwork:
         self.app_of(request.src).issue(request)
 
     def schedule_request(self, time_ps, request: KeyRequest):
-        env = self.network.env
-        env.schedule_at(time_ps, _RequestIssuer(self, request, env), "fire")
+        self.network.env.schedule_at(time_ps, _RequestIssuer(self, request), "fire")
 
 
 class _RequestIssuer:
     """Tiny event owner that injects a request at its start time."""
 
-    def __init__(self, kdn, request, env):
+    def __init__(self, kdn, request):
         self.kdn = kdn
         self.request = request
         self.name = f"issuer:{request.id}"

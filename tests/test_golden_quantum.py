@@ -17,10 +17,12 @@ import numpy as np
 import pytest
 
 from qnetsim.backend.circuit import Circuit
+from qnetsim.backend.gates import gate_matrix
 from qnetsim.backend.simulator import exact_state, run_circuit
+from qnetsim.backend.statevector import StateVector
 from qnetsim.compiler.compile import compile_protocol
 from qnetsim.compiler.script import ClassicalSend, LocalOp, Transmit
-from qnetsim.mbqc.engine import run_pattern, sample_pattern
+from qnetsim.mbqc.engine import dense_oracle, run_pattern, sample_pattern
 from qnetsim.mbqc.pattern import MeasurementSpec, ResourceGraph
 
 
@@ -108,6 +110,23 @@ def xy_chain(n, seed):
     return graph, list(range(n)), specs
 
 
+def adaptive_pattern():
+    """Five vertices on an entangled two-qubit input, measured out of
+    label order in all three planes, with s- and t-domain adaptivity."""
+    state = StateVector(2)
+    state.apply(gate_matrix("ry", (0.8,)), (0,))
+    state.apply(gate_matrix("cnot"), (0, 1))
+    state.apply(gate_matrix("rz", (1.9,)), (1,))
+    graph = ResourceGraph([0, 1, 2, 3, 4], [(0, 2), (1, 3), (2, 3), (2, 4), (3, 4)],
+                          input_vertices=[0, 1], input_state=state)
+    specs = {0: MeasurementSpec(0, "XY", 0.3),
+             1: MeasurementSpec(1, "YZ", 0.7),
+             3: MeasurementSpec(3, "XZ", 0.5, s_domain=(1,), t_domain=(0,)),
+             2: MeasurementSpec(2, "XY", 1.1, s_domain=(0, 3), t_domain=(1,)),
+             4: MeasurementSpec(4, "XY", 2.0, s_domain=(3,), t_domain=(0, 2))}
+    return graph, [1, 0, 3, 2, 4], specs
+
+
 def exact_circuit():
     """12 qubits: an entangling layer, rotations, and four measurements
     with conditioned gates between them."""
@@ -155,6 +174,30 @@ EXACT_PROBABILITIES = {
     "1110": 0.014490014116597064, "1111": 0.01635300463539141,
 }
 
+# ---- golden values of the adaptive pattern, taken before the one walker -----
+
+ADAPTIVE_SAMPLE_DIGEST = "a6c7615352c49403cf1f04c5fc8440acb2d90d35ff17a4e777b4b982ae912563"
+ADAPTIVE_RUN_DIGEST = "5af83996b543330e17916c5d201b66afb4c86db356ab8551af5ddd38b6c68145"
+
+ADAPTIVE_PROBABILITIES = {
+    "00000": 0.08025583212144126, "00001": 0.009270131436090677,
+    "00010": 0.09854887276970403, "00011": 0.003533999106872592,
+    "00100": 0.07786421575103819, "00101": 0.02421865612553878,
+    "00110": 0.08360034808025557, "00111": 0.005925615477275363,
+    "01000": 0.07995056046880843, "01001": 0.00957540308872335,
+    "01010": 0.09824360111707114, "01011": 0.0038392707595052682,
+    "01100": 0.07755894409840532, "01101": 0.024523927778171455,
+    "01110": 0.08329507642762277, "01111": 0.0062308871299080444,
+    "10000": 0.02694348500669446, "10001": 0.008530551435774697,
+    "10010": 0.008650444358430846, "10011": 0.014266683764992369,
+    "10100": 0.018022900519706286, "10101": 0.004894227603717289,
+    "10110": 0.012286768190488082, "10111": 0.023187268251980146,
+    "11000": 0.026638213354061642, "11001": 0.008835823088407328,
+    "11010": 0.008345172705798102, "11011": 0.014571955417625005,
+    "11100": 0.017717628867073506, "11101": 0.005199499256349944,
+    "11110": 0.011981496537855353, "11111": 0.023492539904612718,
+}
+
 
 @pytest.mark.parametrize("sample,digest", [(s, d) for _n, s, d in GOLDEN_HISTOGRAMS],
                          ids=[n for n, _s, _d in GOLDEN_HISTOGRAMS])
@@ -182,3 +225,21 @@ def test_run_pattern_outcomes_match_golden_digest():
 def test_exact_state_probabilities_match_golden_values():
     probs = {k: p for k, (p, _s) in exact_state(exact_circuit()).items()}
     assert probs == pytest.approx(EXACT_PROBABILITIES, abs=1e-12)
+
+
+def test_adaptive_pattern_oracle_matches_golden_values():
+    graph, order, specs = adaptive_pattern()
+    assert dense_oracle(graph, specs, order) == pytest.approx(ADAPTIVE_PROBABILITIES,
+                                                              abs=1e-12)
+
+
+def test_adaptive_pattern_sample_counts_match_golden_digest():
+    counts = sample_pattern(*adaptive_pattern(), 20_000, np.random.default_rng(61))
+    assert _hist_digest(counts) == ADAPTIVE_SAMPLE_DIGEST
+
+
+def test_adaptive_pattern_run_outcomes_match_golden_digest():
+    graph, order, specs = adaptive_pattern()
+    rng = np.random.default_rng(62)
+    runs = [run_pattern(graph, order, specs, rng) for _ in range(300)]
+    assert _digest([[shot[v] for v in order] for shot in runs]) == ADAPTIVE_RUN_DIGEST

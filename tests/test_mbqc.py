@@ -4,6 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qnetsim.backend.statevector import StateVector
 from qnetsim.mbqc import (MeasurementSpec, ResourceGraph, dense_oracle,
@@ -136,6 +137,40 @@ def test_star_width_is_full_degree():
     assert max_active_width(graph, [0, 1, 2, 3, 4, 5]) == 6
     # measuring leaves first keeps only {hub, leaf} active
     assert max_active_width(graph, [1, 2, 3, 4, 5, 0]) == 2
+
+
+@st.composite
+def patterns(draw):
+    """A random graph on up to 7 vertices, an input state on up to 3 of
+    them, and a random measurement order."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = [e for e, keep in zip(pairs, draw(st.lists(st.booleans(), min_size=len(pairs),
+                                                        max_size=len(pairs)))) if keep]
+    inputs = draw(st.permutations(range(n)))[:draw(st.integers(0, min(n, 3)))]
+    state = StateVector(len(inputs)) if inputs else None
+    graph = ResourceGraph(range(n), edges, input_vertices=inputs, input_state=state)
+    return graph, draw(st.permutations(range(n)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(patterns(), st.integers(0, 2**32 - 1))
+def test_max_active_width_is_the_widest_state_of_a_run(pattern, seed):
+    graph, order = pattern
+    specs = {v: x_measurement(v) for v in graph.vertices}
+    widths = [len(graph.input_vertices)]
+    append = StateVector.append_qubit
+
+    def recording_append(self, *args, **kwargs):
+        append(self, *args, **kwargs)
+        widths.append(self.n)
+
+    StateVector.append_qubit = recording_append
+    try:
+        run_pattern(graph, order, specs, np.random.default_rng(seed))
+    finally:
+        StateVector.append_qubit = append
+    assert max_active_width(graph, order) == max(widths)
 
 
 def test_each_edge_realized_once():
