@@ -29,7 +29,7 @@ _CZ = gate_matrix("cz")
 
 
 def _check_order(graph: ResourceGraph, order, specs=None):
-    if sorted(map(str, order)) != sorted(map(str, graph.vertices)):
+    if len(order) != len(graph.vertices) or set(order) != set(graph.vertices):
         raise ValueError("measurement order must be a permutation of the vertices")
     if specs is not None:
         earlier = set()

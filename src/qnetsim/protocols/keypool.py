@@ -88,6 +88,11 @@ class KeyPool:
             self.status = "replenishing"
         return keys
 
+    def can_take_for(self, request_id, count) -> bool:
+        """Whether take_for(request_id, count) would hand out keys now: the
+        request holds a reservation here, or the pool can serve `count`."""
+        return request_id in self._reservations or self.can_serve(count)
+
     def take_for(self, request_id, count):
         """Deliver keys once per request; the second endpoint of the
         segment reads the same keys and clears the reservation."""

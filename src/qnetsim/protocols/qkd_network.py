@@ -19,7 +19,6 @@ propagates a done message back to the source.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from ..des import Entity, Event
 from ..netmodel.channel import ClassicalFiberChannel, QuantumFiberChannel
@@ -90,7 +89,7 @@ class KeyGeneration(Protocol):
                                "is already running")
         node = self.node
         timer = Event(node.env.now + self.interval_ps, node, "keygen_tick",
-                      (self.name, neighbor))
+                      (neighbor,))
         self._timers[neighbor] = node.env.schedule(timer)
 
     def tick(self, neighbor):
@@ -115,21 +114,14 @@ class QKDRouting(Protocol):
 class QKDRMP(Protocol):
     """Resource management: request queue and pool coordination."""
 
-    def __init__(self, name):
+    def __init__(self, name, routing: QKDRouting, keygen: KeyGeneration):
         super().__init__(name)
+        self.routing = routing
+        self.keygen = keygen
         self.queue = []  # FIFO of queued KeyRequests (repeater role)
         self.waiting_local = []  # endnode requests waiting for segment keys
 
     # --- helpers ---------------------------------------------------------
-    # The lower layers are found once, on first use after the stack is built.
-    @cached_property
-    def routing(self) -> QKDRouting:
-        return next(p for p in self.lower if isinstance(p, QKDRouting))
-
-    @cached_property
-    def keygen(self) -> KeyGeneration:
-        return next(p for p in self.routing.lower if isinstance(p, KeyGeneration))
-
     def pool_toward(self, neighbor) -> KeyPool:
         return self.keygen.pools[neighbor]
 
@@ -198,17 +190,22 @@ class QKDRMP(Protocol):
         done_already = request.src_keys if role == "src" else request.dst_keys
         if done_already is not None or (request, role) in self.waiting_local:
             return
-        neighbor = request.path[1] if role == "src" else request.path[-2]
-        pool = self.pool_toward(neighbor)
-        keys = pool.take_for(request.id, request.key_num)
-        if keys is None:
+        if not self._take_local(request, role):
             self.waiting_local.append((request, role))
-            return
+
+    def _take_local(self, request, role) -> bool:
+        """Take this end's segment keys if its pool serves them; False
+        when the request must wait."""
+        neighbor = request.path[1] if role == "src" else request.path[-2]
+        keys = self.pool_toward(neighbor).take_for(request.id, request.key_num)
+        if keys is None:
+            return False
         if role == "src":
             request.src_keys = keys
         else:
             request.dst_keys = keys
             self._try_complete_dst(request)
+        return True
 
     # --- repeater processing ---------------------------------------------
     def try_process(self):
@@ -217,8 +214,8 @@ class QKDRMP(Protocol):
             up, down = self._segment_neighbors(request)
             pool_up = self.pool_toward(up)
             pool_down = self.pool_toward(down)
-            if not (self._available(pool_up, request) and
-                    self._available(pool_down, request)):
+            if not (pool_up.can_take_for(request.id, request.key_num) and
+                    pool_down.can_take_for(request.id, request.key_num)):
                 return
             self.queue.pop(0)
             request.advance("serving")
@@ -228,10 +225,6 @@ class QKDRMP(Protocol):
             self.routing.forward({"type": "CIPHERTEXT", "request": request,
                                   "repeater": self.node.name,
                                   "cipher": cipher}, request.dst)
-
-    @staticmethod
-    def _available(pool, request):
-        return request.id in pool._reservations or pool.can_serve(request.key_num)
 
     # --- destination side -------------------------------------------------
     def _on_ciphertext(self, request, msg):
@@ -271,18 +264,8 @@ class QKDRMP(Protocol):
     # --- pool recovery ----------------------------------------------------
     def pool_recovered(self, pool=None):
         self.try_process()
-        still_waiting = []
-        for request, role in self.waiting_local:
-            neighbor = request.path[1] if role == "src" else request.path[-2]
-            keys = self.pool_toward(neighbor).take_for(request.id, request.key_num)
-            if keys is None:
-                still_waiting.append((request, role))
-            elif role == "src":
-                request.src_keys = keys
-            else:
-                request.dst_keys = keys
-                self._try_complete_dst(request)
-        self.waiting_local = still_waiting
+        self.waiting_local = [(request, role) for request, role in self.waiting_local
+                              if not self._take_local(request, role)]
 
     # message type -> handler, taken once from the methods above
     _HANDLERS = {"REQUEST": _on_request, "REJECT": _on_reject,
@@ -293,48 +276,46 @@ class QKDRMP(Protocol):
 class QKDApp(Protocol):
     """Top layer on endnodes: issues requests."""
 
-    @property
-    def rmp(self) -> QKDRMP:
-        return next(p for p in self.lower if isinstance(p, QKDRMP))
+    def __init__(self, name, rmp: QKDRMP):
+        super().__init__(name)
+        self.rmp = rmp
 
     def issue(self, request: KeyRequest):
         self.rmp.initiate(request)
 
 
 def build_stack(node_name, is_endnode, keygen_rate):
-    """Four layers for endnodes, three for repeaters."""
-    rmp = QKDRMP(f"{node_name}.rmp")
-    routing = QKDRouting(f"{node_name}.routing")
+    """Four layers for endnodes, three for repeaters, built bottom-up so
+    that each layer is handed the layers it calls."""
     keygen = KeyGeneration(f"{node_name}.keygen", rate=keygen_rate)
-    stack = ProtocolStack(f"{node_name}.stack")
+    routing = QKDRouting(f"{node_name}.routing")
+    rmp = QKDRMP(f"{node_name}.rmp", routing, keygen)
     relations = [(rmp, routing), (routing, keygen)]
     if is_endnode:
-        app = QKDApp(f"{node_name}.app")
-        relations.insert(0, (app, rmp))
-    stack.build(relations)
-    return stack
+        relations.insert(0, (QKDApp(f"{node_name}.app", rmp), rmp))
+    return ProtocolStack(f"{node_name}.stack").build(relations)
 
 
 class QKDNode(Node):
     """Node that dispatches key-distribution traffic to its stack.
 
-    Loading a (built) stack indexes its resource managers and key
-    generators, so a message or a keygen tick reaches its protocol
-    without a scan of the stack.
+    Loading a (built) stack names its layers once: `app` (None on a
+    repeater), `rmp` and `keygen`.  Messages, keygen ticks and the key
+    network reach a layer through these names, never by scanning the stack.
     """
 
     def load_protocol(self, stack):
         super().load_protocol(stack)
-        self.rmps = [p for p in stack.protocols if isinstance(p, QKDRMP)]
-        self.keygens = {p.name: p for p in stack.protocols
-                        if isinstance(p, KeyGeneration)}
+        layers = {type(p): p for p in stack.protocols}
+        self.app = layers.get(QKDApp)
+        self.rmp = layers[QKDRMP]
+        self.keygen = layers[KeyGeneration]
 
     def receive_classical_msg(self, msg, src):
-        for rmp in self.rmps:
-            rmp.handle_classical(msg, src)
+        self.rmp.handle_classical(msg, src)
 
-    def keygen_tick(self, keygen_name, neighbor):
-        self.keygens[keygen_name].tick(neighbor)
+    def keygen_tick(self, neighbor):
+        self.keygen.tick(neighbor)
 
 
 class KeyDistributionNetwork:
@@ -360,32 +341,16 @@ class KeyDistributionNetwork:
             pool.fill()
             self.pools[frozenset((a.name, b.name))] = pool
             for node, neighbor in ((a, b.name), (b, a.name)):
-                self._keygen_of(node).attach_pool(neighbor, pool)
-                pool.on_add.append(self._rmp_of(node).pool_recovered)
-
-    @staticmethod
-    def _keygen_of(node) -> KeyGeneration:
-        return next(p for p in node.stack.protocols
-                    if isinstance(p, KeyGeneration))
-
-    @staticmethod
-    def _rmp_of(node) -> QKDRMP:
-        return next(p for p in node.stack.protocols if isinstance(p, QKDRMP))
+                node.keygen.attach_pool(neighbor, pool)
+                pool.on_add.append(node.rmp.pool_recovered)
 
     def start(self):
         """Launch one generation loop per pool; call after env.init()."""
-        for key in sorted(self.pools, key=sorted):
-            a_name, _b_name = sorted(key)
-            node = self.network.node(a_name)
-            other = (set(key) - {a_name}).pop()
-            self._keygen_of(node).start_generation(other)
-
-    def app_of(self, name) -> QKDApp:
-        node = self.network.node(name)
-        return next(p for p in node.stack.protocols if isinstance(p, QKDApp))
+        for a_name, b_name in sorted(map(sorted, self.pools)):
+            self.network.node(a_name).keygen.start_generation(b_name)
 
     def issue_request(self, request: KeyRequest):
-        self.app_of(request.src).issue(request)
+        self.network.node(request.src).app.issue(request)
 
     def schedule_request(self, time_ps, request: KeyRequest):
         self.network.env.schedule_at(time_ps, _RequestIssuer(self, request), "fire")

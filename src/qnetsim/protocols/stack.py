@@ -25,10 +25,6 @@ class Protocol:
     def env(self):
         return self.node.env
 
-    @property
-    def scheduler(self):
-        return self.node.scheduler
-
     def send_upper(self, msg, **kwargs):
         for proto in self.upper:
             proto.handle_lower(self, msg, **kwargs)
@@ -38,9 +34,6 @@ class Protocol:
             proto.handle_upper(self, msg, **kwargs)
 
     # hooks
-    def init(self):
-        pass
-
     def handle_upper(self, sender, msg, **kwargs):
         pass
 
@@ -70,16 +63,6 @@ class ProtocolStack:
             upper.lower.append(lower)
             lower.upper.append(upper)
         return self
-
-    def add(self, protocol):
-        if protocol not in self.protocols:
-            self.protocols.append(protocol)
-            protocol.stack = self
-        return self
-
-    def init(self):
-        for proto in self.protocols:
-            proto.init()
 
     def handle_classical(self, msg, src):
         for proto in self.protocols:

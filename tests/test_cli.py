@@ -37,6 +37,11 @@ def test_parse_time_rejects_negative_durations(text):
 
 # ---- run ------------------------------------------------------------------
 
+def _csv_rows(path):
+    with open(path, newline="") as f:
+        return list(csv.reader(f))
+
+
 def _write_config(tmp_path, doc, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
@@ -48,7 +53,7 @@ def test_run_chsh_writes_results(tmp_path, capsys):
                                    "seed": 7})
     code = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])
     assert code == 0
-    rows = list(csv.reader(open(tmp_path / "out" / "results.csv")))
+    rows = _csv_rows(tmp_path / "out" / "results.csv")
     assert rows[0] == ["strategy", "rounds", "wins", "win_rate"]
     assert abs(float(rows[1][3]) - 0.8536) < 0.02
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
@@ -84,7 +89,7 @@ def test_run_end_time_override(tmp_path):
                  "--out-dir", str(tmp_path / "short")]) == 0
     # 1 us is shorter than a single 1 km channel delay (5 us), so no
     # request can even be accepted, let alone finish
-    rows = list(csv.reader(open(tmp_path / "short" / "results.csv")))
+    rows = _csv_rows(tmp_path / "short" / "results.csv")
     assert all(row[5] != "done" for row in rows[1:])
 
 
@@ -190,14 +195,13 @@ def test_sweep_rows_follow_value_order_and_mean_is_exact(tmp_path):
                  "--values", "40", "20", "--replications", "2",
                  "--out-dir", str(out)])
     assert code == 0
-    rows = list(csv.reader(open(out / "sweep.csv")))
+    rows = _csv_rows(out / "sweep.csv")
     assert rows[0] == ["capacity", "mean", "std", "replications"]
     assert [row[0] for row in rows[1:]] == ["40.0", "20.0"]
     for value in (20, 40):
         reps = []
         for rep in range(2):
-            rep_rows = list(csv.reader(
-                open(out / f"value_{value}_rep_{rep}" / "results.csv")))
+            rep_rows = _csv_rows(out / f"value_{value}_rep_{rep}" / "results.csv")
             reps.append(sum(1 for r in rep_rows[1:] if r[5] == "done"))
         row = next(r for r in rows[1:] if float(r[0]) == value)
         assert float(row[1]) == sum(reps) / len(reps)  # exact arithmetic mean

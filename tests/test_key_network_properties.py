@@ -2,7 +2,8 @@
 
 Every pool conserves keys (generated - delivered == current volume), in
 memory and in `pools.csv`; every finished request holds the same keys at
-both ends and completes no earlier than it was issued; and a (config,
+both ends, leaves no reservation behind in any pool and completes no
+earlier than a request's round trip over its path allows; and a (config,
 seed) pair writes the same bytes when it is run again.
 """
 
@@ -14,6 +15,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from qnetsim import scenarios
+from qnetsim.netmodel.channel import classical_delay_ps
 from qnetsim.protocols.qkd_network import KeyDistributionNetwork
 
 OUTPUTS = ("results.csv", "pools.csv", "trace.log")
@@ -30,7 +32,7 @@ def chains(draw):
             "keygen_rate": float(draw(st.integers(100, 5000))),
             "num_requests": draw(st.integers(1, 20)),
             "key_num": 5,
-            "end_time_ps": 50_000_000_000}  # 0.05 s
+            "end_time_ps": 50_000_000_000}  # 0.05 s; links keep the 1 km default
 
 
 def _run(config, seed, out_dir):
@@ -60,11 +62,17 @@ def test_pools_conserve_keys_and_requests_agree(config, seed):
         assert len(rows) == len(kdn.pools)
         for row in rows:
             assert int(row["generated"]) - int(row["delivered"]) == int(row["final_Vc"])
+        hop_ps = classical_delay_ps(1.0)
         for request in requests:
             if request.state == "done":
                 assert request.src_keys == request.dst_keys
                 assert len(request.src_keys) == request.key_num
                 assert request.completed_ps >= request.issued_ps
+                # REQUEST out to the destination and DONE back to the source
+                hops = len(request.path) - 1
+                assert request.completed_ps - request.issued_ps >= 2 * hops * hop_ps
+                assert not any(request.id in pool._reservations
+                               for pool in kdn.pools.values())
         _run(config, seed, second)
         for name in OUTPUTS:
             assert (first / name).read_bytes() == (second / name).read_bytes()

@@ -194,6 +194,11 @@ def test_order_must_be_permutation():
     specs = {v: x_measurement(v) for v in range(3)}
     with pytest.raises(ValueError):
         run_pattern(graph, [0, 1], specs, np.random.default_rng(0))
+    # labels equal to the vertices only as strings are not the vertices
+    with pytest.raises(ValueError):
+        run_pattern(graph, ["0", "1", "2"], specs, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        max_active_width(graph, ["0", "1", "2"])
 
 
 def test_adaptive_reference_must_be_measured_earlier():

@@ -99,6 +99,14 @@ def test_pool_take_for_serves_both_segment_ends_identically():
     assert first == second  # the peer reads the same reserved keys
     third = pool.take_for("req1", 5)
     assert third is not None and third != first  # reservation was cleared
+    # a reservation that drove the pool to replenishing still serves its id
+    pool = KeyPool(20).fill()
+    reserved = pool.take_for("req2", 16)  # 4 left < V_i
+    assert pool.status == "replenishing"
+    assert pool.can_take_for("req2", 16)
+    assert not pool.can_take_for("other", 1)
+    assert pool.take_for("req2", 16) == reserved  # the second end reads them
+    assert not pool.can_take_for("req2", 16)
 
 
 def test_pool_keys_have_requested_length():
