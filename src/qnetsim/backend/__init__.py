@@ -1,7 +1,7 @@
 from .gates import gate_matrix, gate_arity, controlled_name, GATE_NAMES
 from .circuit import Circuit, CircuitInstruction, OutcomeRecord
 from .statevector import StateVector
-from .simulator import measure, run_circuit, exact_state, is_standard, histogram_to_csv
+from .simulator import run_circuit, exact_state, is_standard, histogram_to_csv
 
 __all__ = [
     "gate_matrix",
@@ -12,7 +12,6 @@ __all__ = [
     "CircuitInstruction",
     "OutcomeRecord",
     "StateVector",
-    "measure",
     "run_circuit",
     "exact_state",
     "is_standard",

@@ -5,7 +5,10 @@ flat list of steps over register positions: `Gate(matrix, regs, cond)`,
 `Alloc(single)` (a fresh highest register) and `Measure(reg, key, basis,
 drop)`.  At a measurement a split rule picks the outcomes to follow:
 `exact_split` enumerates both, `stratified_split` divides a shot count
-binomially and `shot_split` samples one.
+binomially and `shot_split` samples one.  `run_circuit` walks its
+program once with the stratified rule: the histogram is multinomial over
+the leaves, as for independent shots, and each realised branch is
+evolved once, not once per shot.
 """
 
 from __future__ import annotations
@@ -15,16 +18,11 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .circuit import Circuit, OutcomeRecord
+from .circuit import Circuit
 from .gates import gate_matrix
 from .statevector import StateVector
 
 EXACT_STATE_MAX_WIDTH = 20
-
-
-def measure(state: StateVector, reg: int, rng) -> int:
-    """Computational-basis measurement: sample, collapse, renormalize."""
-    return state.sample_bit(reg, rng)
 
 
 def is_standard(circ: Circuit) -> bool:
@@ -132,40 +130,32 @@ def _bitstring(outcomes, regs):
     return "".join(str(outcomes[r]) for r in regs)
 
 
-def run_shot(circ: Circuit, rng, shot=0, start=0, state=None) -> OutcomeRecord:
-    """Run one shot from instruction `start` on `state` (by default a
-    fresh all-zero state over the circuit's width), which it mutates."""
-    record = OutcomeRecord(shot)
-    walk(circuit_program(circ.instructions[start:]),
-         StateVector(circ.width) if state is None else state, shot_split(rng), None,
-         lambda outcomes, _weight, _state: record.update(outcomes))
-    return record
+def check_shots(shots):
+    """Reject a shot count that is negative or not an integer."""
+    if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 0:
+        raise ValueError(f"shots must be a non-negative integer, got {shots!r}")
 
 
 def run_circuit(circ: Circuit, shots: int, seed=0) -> Counter:
     """Sample the circuit; histogram keyed by measured-register bits in
     ascending register order.
 
-    The gates before the first measurement draw nothing and (by
-    `validate`) are unconditioned, so they are applied once per call and
-    every shot starts from a copy of that prefix state.
+    One stratified walk: each measurement splits the shots that reach it
+    with one binomial draw, so the counts are multinomial over the leaves
+    exactly as for `shots` independent runs, while every realised branch
+    is evolved once.
     """
+    check_shots(shots)
     circ.validate()
-    rng = np.random.default_rng(seed)
     regs = circ.measured_regs
-    program = circuit_program(circ)
-    start = next((i for i, step in enumerate(program) if type(step) is Measure),
-                 len(program))
-    prefix = StateVector(circ.width)
-    walk(program[:start], prefix, None, None, lambda *_: None)
     hist = Counter()
 
-    def leaf(outcomes, _weight, _state):
-        hist[_bitstring(outcomes, regs)] += 1
+    def leaf(outcomes, n, _state):
+        if n:
+            hist[_bitstring(outcomes, regs)] += n
 
-    split, rest = shot_split(rng), program[start:]
-    for _shot in range(shots):
-        walk(rest, prefix.copy(), split, None, leaf)
+    walk(circuit_program(circ), StateVector(circ.width),
+         stratified_split(np.random.default_rng(seed)), shots, leaf)
     return hist
 
 

@@ -17,9 +17,20 @@ PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 # Top rows of a controlled two-qubit matrix diag(I, U), as nested lists.
 _CONTROL_ROWS = [[1, 0, 0, 0], [0, 1, 0, 0]]
 
-# Amplitudes per block in _apply_2x2: a block's operands and temporaries
-# stay in cache across its passes.
+# Amplitudes per block in _apply_2x2 (floats per block in _in_blocks): a
+# block's operands and temporaries stay in cache across its passes.
 _BLOCK = 1 << 14
+
+# On states of at least _WIDE amplitudes, one-qubit gates on registers 1
+# to _TILE_REGS - 1 run over contiguous rows (see apply); on register 0
+# and higher registers the strided halves are as fast.  Measured bounds.
+_WIDE = 1 << 15
+_ROW_REGS = 4
+_TILE_REGS = 12
+
+# (re, im) -> (re, im) of a multiplication by i, in the row-vector form
+# x @ m of _apply_rows.
+_TIMES_I = np.array([[0.0, 1.0], [-1.0, 0.0]])
 
 
 class StateVector:
@@ -71,7 +82,12 @@ class StateVector:
 
         Works in place on `amps`.  One-qubit gates and two-qubit gates of
         the form diag(I, U) (cnot, cz, cy, crx, cry, crz) update strided
-        views of the state; any other matrix goes through tensordot.
+        views of the state; any other matrix goes through tensordot.  On a
+        state of at least _WIDE (2^15) amplitudes a one-qubit gate on
+        registers 1 to 11 runs over contiguous rows instead: a diagonal one
+        is one multiply by a tile of its factors, any other on registers 1
+        to 3 a product with kron(u, I), and a real one that is not
+        anti-diagonal a product per row.  Other gates take the views.
         """
         targets = list(targets)
         k = len(targets)
@@ -85,7 +101,18 @@ class StateVector:
             raise ValueError(f"a {k}-qubit gate needs a {1 << k}x{1 << k} matrix, "
                              f"got shape {u.shape}")
         if k == 1:
-            _apply_2x2(u.tolist(), *self._halves(targets[0]))
+            q = targets[0]
+            if self.amps.size >= _WIDE and q:
+                if u[0, 1] == u[1, 0] == 0 and q < _TILE_REGS:
+                    _scale_tiled(self.amps, u[0, 0], u[1, 1], q)
+                    return
+                if q < _ROW_REGS:
+                    _apply_rows(self.amps, u, q)
+                    return
+                if q < _TILE_REGS and u[0, 0] != 0 and not u.imag.any():
+                    _apply_real(self.amps, u.real, q)
+                    return
+            _apply_2x2(u.tolist(), *self._halves(q))
             return
         if k == 2:
             rows = u.tolist()
@@ -184,6 +211,42 @@ def _apply_2x2(u, a0, a1):
             b0 += b1 * u01
             b1 *= u11
             b1 += new1
+
+
+def _scale_tiled(amps, d0, d1, reg):
+    """Multiply by diag(d0, d1) on register `reg`: one pass over
+    contiguous rows of _BLOCK amplitudes with their tile of factors."""
+    rows = amps.reshape(-1, _BLOCK)
+    rows *= np.tile(np.repeat([d0, d1], 1 << reg), _BLOCK >> (reg + 1))
+
+
+def _apply_rows(amps, u, reg):
+    """Apply the 2x2 `u` to a low register `reg`: each contiguous row of
+    2^(reg + 1) amplitudes is multiplied by kron(u, I), as a real matrix
+    product over the (re, im) pairs."""
+    m = np.kron(u, np.eye(1 << reg)).T
+    m = np.kron(m.real, np.eye(2)) + np.kron(m.imag, _TIMES_I)
+    _in_blocks(amps.view(np.float64).reshape(-1, len(m)),
+               lambda block, out: np.matmul(block, m, out=out))
+
+
+def _apply_real(amps, u, reg):
+    """Apply the real 2x2 `u` to register `reg`: it mixes the two halves
+    of each contiguous row of 2^(reg + 1) amplitudes, real and imaginary
+    parts alike, so each row is one product u @ (2 x 2^(reg + 1) floats)."""
+    _in_blocks(amps.view(np.float64).reshape(-1, 2, 2 << reg),
+               lambda block, out: np.matmul(u, block, out=out))
+
+
+def _in_blocks(rows, product):
+    """Replace `rows` block by block (_BLOCK floats each) by
+    product(block, out), which writes into the block-sized `out`."""
+    step = _BLOCK // rows[0].size
+    out = np.empty((step,) + rows.shape[1:])
+    for i in range(0, len(rows), step):
+        block = rows[i:i + step]
+        product(block, out)
+        block[...] = out
 
 
 def _blocks(a0, a1):

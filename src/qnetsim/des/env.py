@@ -76,9 +76,6 @@ class SimEnv:
         if default:
             set_default_env(self)
 
-    def set_default(self):
-        set_default_env(self)
-
     # ---- random streams -------------------------------------------------
     def rng_for(self, stream_name: str) -> np.random.Generator:
         """Derive a per-entity random stream from (seed, stream name).

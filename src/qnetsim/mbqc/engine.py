@@ -18,8 +18,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..backend.gates import gate_matrix
-from ..backend.simulator import (Alloc, Gate, Measure, exact_split, shot_split,
-                                 stratified_split, walk)
+from ..backend.simulator import (Alloc, Gate, Measure, check_shots, exact_split,
+                                 shot_split, stratified_split, walk)
 from ..backend.statevector import PLUS, StateVector
 from .pattern import ResourceGraph
 
@@ -43,11 +43,14 @@ def _check_order(graph: ResourceGraph, order, specs=None):
 
 def _rotation(spec):
     """Basis callback of a measurement: the rotation taking the spec's
-    basis, adapted to earlier outcomes, to Z."""
-    def basis(outcomes):
-        v0, v1 = spec.basis(outcomes)
-        return np.array([v0.conj(), v1.conj()])  # maps v0 -> |0>, v1 -> |1>
-    return basis
+    basis, adapted to earlier outcomes, to Z.  The rotation of each (s, t)
+    parity the domains can give is computed here, once per program."""
+    table = {}
+    for s in range(1 + bool(spec.s_domain)):
+        for t in range(1 + bool(spec.t_domain)):
+            v0, v1 = spec.basis_for(s, t)
+            table[s, t] = np.array([v0.conj(), v1.conj()])  # maps v0 -> |0>, v1 -> |1>
+    return lambda outcomes: table[spec.parities(outcomes)]
 
 
 def _program(graph: ResourceGraph, order, specs=None, dense=False):
@@ -120,6 +123,7 @@ def sample_pattern(graph: ResourceGraph, order, specs: dict, shots: int,
     state evolution happens once per realized branch instead of once per
     shot.  Keys are outcome bitstrings in measurement order.
     """
+    check_shots(shots)
     _check_order(graph, order, specs)
     counts = {}
 

@@ -102,12 +102,18 @@ class MeasurementSpec:
             self.explicit_basis = (v0, v1)
 
     def basis(self, outcomes: dict):
+        return self.basis_for(*self.parities(outcomes))
+
+    def parities(self, outcomes: dict):
+        """(s, t): parities of the earlier outcomes in the two domains."""
+        return (sum(outcomes[v] for v in self.s_domain) % 2,
+                sum(outcomes[v] for v in self.t_domain) % 2)
+
+    def basis_for(self, s, t):
+        """The basis adapted to the parities (s, t)."""
         if self.explicit_basis is not None:
             return self.explicit_basis
-        s = sum(outcomes[v] for v in self.s_domain) % 2
-        t = sum(outcomes[v] for v in self.t_domain) % 2
-        angle = (-1) ** s * self.angle + t * np.pi
-        return plane_basis(self.plane, angle)
+        return plane_basis(self.plane, (-1) ** s * self.angle + t * np.pi)
 
     def references(self):
         return tuple(self.s_domain) + tuple(self.t_domain)

@@ -33,10 +33,6 @@ class BB84Result:
     def detection_rate(self):
         return self.detections / self.pulses
 
-    @property
-    def key_bits(self):
-        return self.sifted_bob
-
 
 @dataclass
 class DecoyResult:

@@ -1,6 +1,8 @@
 """Statevector engine: gates, convention, dynamic circuits, serialization."""
 
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,7 +12,9 @@ from qnetsim.backend import (Circuit, CircuitInstruction, StateVector,
                              exact_state, gate_arity, gate_matrix,
                              is_standard, run_circuit, controlled_name,
                              GATE_NAMES)
-from qnetsim.backend.simulator import branch_probabilities
+from qnetsim.backend.simulator import (branch_probabilities, circuit_program,
+                                       stratified_split, walk)
+from qnetsim.backend.statevector import _WIDE
 
 
 # ---- gates ---------------------------------------------------------------
@@ -123,12 +127,25 @@ def assert_matches_dense(state, matrix, targets):
     assert np.max(np.abs(state.amps - expected)) < 1e-12
 
 
+def one_qubit_reference(amps, matrix, reg):
+    """`matrix` on register `reg` as a contraction over the state's
+    (high, reg, low) axes: the reference for states too wide for a dense
+    operator."""
+    v = amps.reshape(-1, 2, 1 << reg)
+    return np.einsum("ij,ajb->aib", matrix, v).reshape(-1)
+
+
 def test_dense_reference_agrees_with_known_gates():
     # |01> (reg 0 set) under cnot with control reg 0 -> |11>
     op = dense_operator(gate_matrix("cnot"), (0, 1), 2)
     assert np.allclose(op @ [0, 1, 0, 0], [0, 0, 0, 1])
     assert np.allclose(dense_operator(gate_matrix("x"), (1,), 2) @ [1, 0, 0, 0],
                        [0, 0, 1, 0])
+    rng = np.random.default_rng(3)
+    amps, u = random_state(rng, 4).amps, random_unitary(rng, 2)
+    for reg in range(4):
+        assert np.allclose(one_qubit_reference(amps, u, reg),
+                           dense_operator(u, (reg,), 4) @ amps, atol=1e-14)
 
 
 EXACT_1Q = ["z", "s", "t", "x", "y"]
@@ -154,6 +171,49 @@ def test_apply_diagonal_and_antidiagonal_gates_match_dense(n, data):
         + [gate_matrix("rz", (rng.uniform(0, 2 * np.pi),)),
            np.diag([a, b]), np.array([[0, a], [b, 0]])]))
     assert_matches_dense(random_state(rng, n), matrix, (reg,))
+
+
+# Widths whose states take the contiguous row kernels of apply.
+WIDE_QUBITS = _WIDE.bit_length() - 1
+
+
+def two_by_two(rng, kind):
+    a, b, c = np.exp(1j * rng.uniform(0, 2 * np.pi, size=3))
+    return {"random": random_unitary(rng, 2),
+            "diagonal": np.diag([a, b]),
+            "anti-diagonal": np.array([[0, a], [b, 0]]),
+            "hadamard-like": c * gate_matrix("h"),
+            "real": gate_matrix("ry", (rng.uniform(0, 2 * np.pi),)),
+            "gate": gate_matrix(["x", "y", "z", "s", "t", "h"][int(rng.integers(6))])}[kind]
+
+
+@pytest.mark.parametrize("kind", ["random", "diagonal", "anti-diagonal", "hadamard-like",
+                                  "real", "gate"])
+@settings(max_examples=4, deadline=None)
+@given(st.integers(WIDE_QUBITS, WIDE_QUBITS + 1), st.integers(0, 2**32 - 1))
+def test_apply_one_qubit_gates_on_wide_states_match_reference(kind, n, seed):
+    rng = np.random.default_rng(seed)
+    state = random_state(rng, n)
+    for reg in range(n):
+        matrix = two_by_two(rng, kind)
+        expected = one_qubit_reference(state.amps, matrix, reg)
+        state.apply(matrix, (reg,))
+        assert np.max(np.abs(state.amps - expected)) < 1e-12
+
+
+@pytest.mark.parametrize("matrix,targets", [
+    (gate_matrix("h"), (WIDE_QUBITS,)),  # register out of range
+    (gate_matrix("rz", (0.3,)), (-1,)),
+    (gate_matrix("cnot"), (1,)),  # 4x4 matrix on one register
+    (np.eye(3, dtype=complex), (2,)),
+    (np.ones(2, dtype=complex), (1,)),  # not a matrix
+], ids=["out-of-range", "negative", "4x4-on-one", "3x3", "vector"])
+def test_apply_rejects_bad_input_on_wide_states_before_writing(matrix, targets):
+    state = random_state(np.random.default_rng(0), WIDE_QUBITS)
+    before = state.amps.copy()
+    with pytest.raises(ValueError):
+        state.apply(matrix, targets)
+    assert np.array_equal(state.amps, before)
 
 
 @settings(max_examples=80, deadline=None)
@@ -302,21 +362,88 @@ def test_sampling_agrees_with_exact_probabilities():
         assert abs(hist[key] / 20000 - p) < 0.02
 
 
-
-def test_run_circuit_draws_like_independent_shots():
-    """run_circuit evolves the measurement-free prefix once; each shot must
-    still see the same RNG draws as a shot run from scratch."""
-    from qnetsim.backend.simulator import run_shot
+def test_run_circuit_draws_like_one_stratified_walk_from_scratch():
+    """run_circuit must draw exactly what one stratified walk of the whole
+    program from the all-zero state draws."""
     circ = (Circuit().add("h", 0).add("ry", 1, params=(0.7,)).add("cnot", (0, 2))
             .add("measure", 0).add("x", 1, cond=0).add("h", 2)
             .add("measure", 1).add("measure", 2))
-    rng = np.random.default_rng(17)
-    expected = {}
-    for shot in range(300):
-        outcomes = run_shot(circ, rng, shot)
-        key = "".join(str(outcomes[r]) for r in circ.measured_regs)
-        expected[key] = expected.get(key, 0) + 1
-    assert run_circuit(circ, 300, seed=17) == expected
+
+    def stratified_walk(seed):
+        hist = Counter()
+
+        def leaf(outcomes, n, _state):
+            hist["".join(str(outcomes[r]) for r in circ.measured_regs)] += n
+
+        walk(circuit_program(circ), StateVector(circ.width),
+             stratified_split(np.random.default_rng(seed)), 300, leaf)
+        return hist
+
+    for seed in (17, 18, 19):
+        assert run_circuit(circ, 300, seed=seed) == stratified_walk(seed)
+
+
+def random_dynamic_circuit(rng, width):
+    """Random gates with a mid-circuit measurement every fourth step; half
+    of the one-qubit gates after one are conditioned on an earlier outcome."""
+    circ = Circuit()
+    free, measured = list(range(width)), []
+    for step in range(12):
+        if step % 4 == 3 and len(free) > 1:
+            q = free.pop(int(rng.integers(len(free))))
+            circ.add("measure", q)
+            measured.append(q)
+        elif rng.random() < 0.6 or len(free) < 2:
+            name = ["h", "x", "y", "z", "s", "t", "rx", "ry", "rz"][int(rng.integers(9))]
+            params = (float(rng.uniform(0, 2 * np.pi)),) if name[0] == "r" else None
+            cond = int(rng.choice(measured)) if measured and rng.random() < 0.5 else None
+            circ.add(name, int(rng.choice(free)), params=params, cond=cond)
+        else:
+            a, b = rng.choice(free, size=2, replace=False)
+            circ.add("cnot", (int(a), int(b)))
+    for q in free:
+        circ.add("measure", q)
+    return circ
+
+
+def tvd_bound(probs, shots, delta=1e-9):
+    """TVD that `shots` samples of `probs` exceed with probability < delta:
+    E[TVD] <= sum_k sqrt(p_k (1 - p_k) / n) / 2 by Jensen, and McDiarmid
+    adds sqrt(ln(1/delta) / 2n) since one sample moves TVD by <= 1/n.  A
+    sure branch may read 1 + 1e-16, hence the clamp."""
+    mean = 0.5 * sum(math.sqrt(max(p * (1 - p), 0.0) / shots) for p in probs.values())
+    return mean + math.sqrt(math.log(1 / delta) / (2 * shots))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(2, 5), st.integers(1, 3000))
+def test_run_circuit_counts_follow_the_branch_law(seed, width, shots):
+    circ = random_dynamic_circuit(np.random.default_rng(seed), width)
+    probs = branch_probabilities(circ)
+    hist = run_circuit(circ, shots, seed=seed)
+    assert sum(hist.values()) == shots
+    assert set(hist) <= set(probs)
+    tvd = 0.5 * sum(abs(hist.get(k, 0) / shots - probs.get(k, 0.0))
+                    for k in set(hist) | set(probs))
+    assert tvd <= tvd_bound(probs, shots)
+
+
+def test_random_dynamic_circuits_carry_conditioned_gates():
+    circuits = [random_dynamic_circuit(np.random.default_rng(seed), 4) for seed in range(20)]
+    assert sum(any(inst.cond is not None for inst in circ) for circ in circuits) >= 10
+
+
+@pytest.mark.parametrize("shots", [-5, 2.5, 3.0, "10", True, None])
+def test_run_circuit_rejects_bad_shot_counts(shots):
+    with pytest.raises(ValueError, match="shots"):
+        run_circuit(Circuit().add("h", 0).add("measure", 0), shots)
+
+
+def test_run_circuit_takes_zero_and_numpy_shot_counts():
+    circ = Circuit().add("h", 0).add("measure", 0)
+    assert run_circuit(circ, 0) == {}
+    assert run_circuit(Circuit().add("x", 0), 0) == {}
+    assert sum(run_circuit(circ, np.int64(50)).values()) == 50
 
 
 def test_exact_state_leaf_states_are_distinct():

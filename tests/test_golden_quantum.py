@@ -1,11 +1,12 @@
 """Golden quantum outputs: fixed (input, seed) pairs must keep sampling
 the same outcomes.
 
-Sampling draws one `rng.random()` per measurement (one binomial per
-realised measurement branch in `sample_pattern`), so a change that only
-makes the statevector engine faster leaves every digest below as it is.
-A change to the sampling law or to RNG consumption changes at least one
-of them, and must say so and update the digests on purpose.
+`run_circuit` and `sample_pattern` draw one binomial per realised
+measurement branch (stratified sampling); `run_pattern` draws one
+`rng.random()` per measurement.  A change that only makes the
+statevector engine faster leaves every digest below as it is.  A change
+to the sampling law or to RNG consumption changes at least one of them,
+and must say so and update the digests on purpose.
 
 Digests are SHA-256 of the repr of the sorted histogram (or of the
 per-shot outcome lists).  The inputs are built here from fixed seeds.
@@ -145,19 +146,21 @@ def exact_circuit():
     return circ
 
 
-# ---- golden values, taken before the in-place statevector kernels -----------
+# ---- golden values.  The run_circuit digests were re-pinned when it moved
+# from one walk per shot to one stratified walk; the other values were taken
+# before the in-place statevector kernels. --------------------------------------
 
 GOLDEN_HISTOGRAMS = [
     ("ghz12", lambda: run_circuit(ghz(12), 1000, seed=7),
-     "589376d6ae17a3e70eef1f66ae6aa0ee0a01f431907b2ad0c9486653775fc851"),
+     "64da27ef460b8010d738c8756c99f10a36f8069d642d94a7060ac4a0b7673d74"),
     ("relay2", lambda: run_circuit(relay(2, 1.234), 512, seed=23),
-     "e8919aa50e2f24efc1b42f4cc60012c4676a25f6f4bc3dda34ff631f6b827c45"),
+     "9889a13fecf2fc6e3c59d4423573edd2f071410fe0b41a254e9ff477d5a6235e"),
     ("dynamic-a", lambda: run_circuit(dynamic_circuit(101, 5), 400, seed=31),
-     "d4ef35abb58de323d52ac2c597be54499ca8ba2f8e1195759df63f650056bc54"),
+     "4d0a0710bd7acd213eb569aad48cc89a221bccd8cc53e0b48f2c891afc9a8dab"),
     ("dynamic-b", lambda: run_circuit(dynamic_circuit(102, 6), 400, seed=32),
-     "a2cc547822e38a79b6cfd7c17ff91502e193056e0eed83692e4407c46fa42486"),
+     "316e53de78c3576f7a8f6d893ae400e6740dbff65edb45964f8932547ed15de7"),
     ("dynamic-c", lambda: run_circuit(dynamic_circuit(103, 7), 400, seed=33),
-     "4e53aafae26d12229f4d4c217f322206d6be4471c91266fa736fd4605ff7981b"),
+     "954a3e8d348f621f076e867c8f7998822d6255acfaa7f818cb1aec7f78917b3c"),
 ]
 
 SAMPLE_PATTERN_DIGEST = "84cd35502380005902d9467643a5ee5c0ad9dc7bb5f76b678aaa0731872cb00b"

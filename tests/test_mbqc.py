@@ -10,6 +10,7 @@ from qnetsim.backend.statevector import StateVector
 from qnetsim.mbqc import (MeasurementSpec, ResourceGraph, dense_oracle,
                           dump_pattern, load_pattern, max_active_width,
                           run_pattern)
+from qnetsim.mbqc.engine import _rotation, sample_pattern
 from qnetsim.mbqc.pattern import plane_basis, x_measurement, z_measurement
 
 
@@ -58,6 +59,37 @@ def test_adaptive_angle_transformation():
 def test_explicit_basis_must_be_orthonormal():
     with pytest.raises(ValueError):
         MeasurementSpec(0, explicit_basis=([1, 0], [1, 0]))
+
+
+@pytest.mark.parametrize("plane", ["XY", "YZ", "XZ"])
+@pytest.mark.parametrize("s_domain,t_domain", [((), ()), ((0,), ()), ((), (1,)),
+                                               ((0, 1), (1,))])
+def test_cached_rotations_equal_the_adapted_basis(plane, s_domain, t_domain):
+    spec = MeasurementSpec(2, plane, 0.83, s_domain=s_domain, t_domain=t_domain)
+    rotation = _rotation(spec)
+    for a in (0, 1):
+        for b in (0, 1):
+            outcomes = {0: a, 1: b}
+            v0, v1 = spec.basis(outcomes)
+            assert np.array_equal(rotation(outcomes), np.array([v0.conj(), v1.conj()]))
+
+
+def test_cached_rotation_of_an_explicit_basis():
+    v0, v1 = np.array([0.6, 0.8j]), np.array([0.8, -0.6j])
+    rotation = _rotation(MeasurementSpec(0, explicit_basis=(v0, v1)))
+    assert np.array_equal(rotation({}), np.array([v0.conj(), v1.conj()]))
+
+
+@pytest.mark.parametrize("shots", [-5, 2.5, "10", False])
+def test_sample_pattern_rejects_bad_shot_counts(shots):
+    graph, specs = ResourceGraph([0], []), {0: MeasurementSpec(0, "XY", 0.0)}
+    with pytest.raises(ValueError, match="shots"):
+        sample_pattern(graph, [0], specs, shots, np.random.default_rng(0))
+
+
+def test_sample_pattern_of_zero_shots_is_empty():
+    graph, specs = chain(3), {v: MeasurementSpec(v, "XY", 0.4) for v in range(3)}
+    assert sample_pattern(graph, [0, 1, 2], specs, 0, np.random.default_rng(0)) == {}
 
 
 # ---- graph validation -----------------------------------------------------
