@@ -34,7 +34,6 @@ class KeyPool:
         self.generated = 0
         self.delivered = 0
         self._reservations = {}  # request id -> delivered keys, readable once more
-        self.on_add = []  # callbacks(pool) after every added key
         self._ahead = []  # keys drawn but not yet used, last one first
 
     @property
@@ -65,8 +64,6 @@ class KeyPool:
         self.generated += 1
         if self.status == "replenishing" and len(keys) >= self.v_recover:
             self.status = "serving"
-        for callback in self.on_add:
-            callback(self)
         return True
 
     def can_serve(self, count) -> bool:

@@ -1,19 +1,22 @@
 """End-to-end key distribution with key pools and trusted repeaters.
 
-Endnodes run a four-layer stack (application, resource management,
-routing, key generation); repeaters run the same stack without the
-application layer.  Segment keys live in battery-like pools shared by
-the two endpoints of each segment.  A repeater serves a request by
-taking keys from its upstream and downstream pools and relaying the
-one-time-pad ciphertext c = k_up XOR k_down to the destination, which
-unwinds the chain of ciphertexts to recover the sender-side key.
+The key network has four layers.  Endnodes run an application that
+issues requests; every node runs resource management and routing; key
+generation fills battery-like pools, each shared by the two endpoints of
+a segment.  One keygen clock per network adds a key to every pool at
+each interval (a full pool drops it), and an added key wakes the
+resource managers of its segment that wait for keys.  A repeater serves
+a request by taking keys from its upstream and downstream pools and
+relaying the one-time-pad ciphertext c = k_up XOR k_down to the
+destination, which unwinds the chain of ciphertexts to recover the
+sender-side key.
 
 Request lifecycle: the source issues a request toward the destination;
 repeaters forward it (or reject it when it can never be satisfied); the
 destination returns an acceptance; repeaters process or queue the
 request depending on their pools; ciphertexts flow to the destination,
-which acknowledges them, combines everything into the end-to-end key and
-propagates a done message back to the source.
+which combines everything into the end-to-end key and propagates a done
+message back to the source.
 """
 
 from __future__ import annotations
@@ -64,40 +67,41 @@ class KeyRequest:
         self.state = state
 
 
-class KeyGeneration(Protocol):
-    """Bottom layer: generates segment keys into the neighbor pools.
+class KeyClock:
+    """Key generation: every `interval_ps`, one key for each of its pools.
 
-    Generation runs as a steady event-driven loop at `rate` keys per
-    second per pool (a full pool drops the key).  Every added key may
-    flip a replenishing pool back to serving and wakes the resource
-    managers waiting on the pool.  Each tick re-arms its loop's one event.
+    At each instant the clock walks its `(node, peer, pool)` generators in
+    order, has `node` generate a key toward `peer` into every pool below
+    its capacity (`QKDNode.keygen_tick`), then re-arms its one event.
+
+    Why one clock for all pools keeps every other event in its order and
+    every random draw in its place: with one timer per pool, started
+    together in generator order and each re-armed right after its own key,
+    the timers due at instant T + I are all scheduled during instant T.
+    Between two of those re-arms the only code that runs is the wake-ups
+    of a key, which send first-hop messages due at T + D for a classical
+    channel delay D.  Unless some D equals the interval I, the timers of
+    each instant thus form one contiguous block of the event list with
+    nothing run between them, and one event re-armed after the block's
+    last key pops where the block would, relative to every other event.
+    When some D equals I, such messages pop inside the block, so the
+    network gives each pool a clock of its own: one timer per pool again.
     """
 
-    def __init__(self, name, rate=1000.0):
-        super().__init__(name)
-        self.rate = rate
-        self.interval_ps = round(1e12 / rate)
-        self.pools = {}  # neighbor name -> KeyPool (shared with the neighbor)
-        self._timers = {}  # neighbor name -> the event of its generation loop
+    def __init__(self, name, env, interval_ps, generators):
+        self.name = name
+        self.env = env
+        self.interval_ps = interval_ps
+        self.generators = generators
+        self.event = env.schedule(Event(env.now + interval_ps, self, "keygen"))
 
-    def attach_pool(self, neighbor, pool):
-        self.pools[neighbor] = pool
-
-    def start_generation(self, neighbor):
-        if neighbor in self._timers:
-            raise RuntimeError(f"{self.name}: generation toward {neighbor!r} "
-                               "is already running")
-        node = self.node
-        timer = Event(node.env.now + self.interval_ps, node, "keygen_tick",
-                      (neighbor,))
-        self._timers[neighbor] = node.env.schedule(timer)
-
-    def tick(self, neighbor):
-        self.pools[neighbor].add_key()
-        timer = self._timers[neighbor]
-        env = timer.owner.env
-        timer.time = env.now + self.interval_ps
-        env.schedule(timer)
+    def keygen(self):
+        for node, peer, pool in self.generators:
+            if len(pool.keys) < pool.v_max:
+                node.keygen_tick(peer)
+        event, env = self.event, self.env
+        event.time = env.now + self.interval_ps
+        env.schedule(event)
 
 
 class QKDRouting(Protocol):
@@ -114,17 +118,14 @@ class QKDRouting(Protocol):
 class QKDRMP(Protocol):
     """Resource management: request queue and pool coordination."""
 
-    def __init__(self, name, routing: QKDRouting, keygen: KeyGeneration):
+    def __init__(self, name, routing: QKDRouting):
         super().__init__(name)
         self.routing = routing
-        self.keygen = keygen
+        self.pools = {}  # neighbor name -> KeyPool (shared with the neighbor)
         self.queue = []  # FIFO of queued KeyRequests (repeater role)
         self.waiting_local = []  # endnode requests waiting for segment keys
 
     # --- helpers ---------------------------------------------------------
-    def pool_toward(self, neighbor) -> KeyPool:
-        return self.keygen.pools[neighbor]
-
     def _segment_neighbors(self, request):
         """(upstream, downstream) neighbors of this node on the path."""
         path = request.path
@@ -162,7 +163,7 @@ class QKDRMP(Protocol):
         # could ever hold enough keys
         up, down = self._segment_neighbors(request)
         for neighbor in (up, down):
-            if request.key_num > self.pool_toward(neighbor).v_max:
+            if request.key_num > self.pools[neighbor].v_max:
                 self.routing.forward({"type": "REJECT", "request": request},
                                      request.src)
                 return
@@ -197,7 +198,7 @@ class QKDRMP(Protocol):
         """Take this end's segment keys if its pool serves them; False
         when the request must wait."""
         neighbor = request.path[1] if role == "src" else request.path[-2]
-        keys = self.pool_toward(neighbor).take_for(request.id, request.key_num)
+        keys = self.pools[neighbor].take_for(request.id, request.key_num)
         if keys is None:
             return False
         if role == "src":
@@ -212,8 +213,8 @@ class QKDRMP(Protocol):
         while self.queue:
             request = self.queue[0]
             up, down = self._segment_neighbors(request)
-            pool_up = self.pool_toward(up)
-            pool_down = self.pool_toward(down)
+            pool_up = self.pools[up]
+            pool_down = self.pools[down]
             if not (pool_up.can_take_for(request.id, request.key_num) and
                     pool_down.can_take_for(request.id, request.key_num)):
                 return
@@ -232,16 +233,10 @@ class QKDRMP(Protocol):
             self.routing.forward(msg, request.dst)
             return
         request.ciphertexts[msg["repeater"]] = msg["cipher"]
-        self.routing.forward({"type": "ACK", "request": request,
-                              "repeater": msg["repeater"]}, msg["repeater"])
         if request.dst_keys is None:
             self._take_local_segment(request, role="dst")
         else:
             self._try_complete_dst(request)
-
-    def _on_ack(self, request, msg):
-        if self.node.name != msg["repeater"]:
-            self.routing.forward(msg, msg["repeater"])
 
     def _try_complete_dst(self, request):
         repeaters = request.path[1:-1]
@@ -262,7 +257,8 @@ class QKDRMP(Protocol):
         request.completed_ps = self.env.now
 
     # --- pool recovery ----------------------------------------------------
-    def pool_recovered(self, pool=None):
+    def pool_recovered(self):
+        """Serve what waits on this node's pools; a no-op when nothing waits."""
         self.try_process()
         self.waiting_local = [(request, role) for request, role in self.waiting_local
                               if not self._take_local(request, role)]
@@ -270,7 +266,7 @@ class QKDRMP(Protocol):
     # message type -> handler, taken once from the methods above
     _HANDLERS = {"REQUEST": _on_request, "REJECT": _on_reject,
                  "ACCEPT": _on_accept, "CIPHERTEXT": _on_ciphertext,
-                 "ACK": _on_ack, "DONE": _on_done}
+                 "DONE": _on_done}
 
 
 class QKDApp(Protocol):
@@ -284,13 +280,12 @@ class QKDApp(Protocol):
         self.rmp.initiate(request)
 
 
-def build_stack(node_name, is_endnode, keygen_rate):
-    """Four layers for endnodes, three for repeaters, built bottom-up so
-    that each layer is handed the layers it calls."""
-    keygen = KeyGeneration(f"{node_name}.keygen", rate=keygen_rate)
+def build_stack(node_name, is_endnode):
+    """Application (endnodes only), resource management and routing,
+    built bottom-up so that each layer is handed the layers it calls."""
     routing = QKDRouting(f"{node_name}.routing")
-    rmp = QKDRMP(f"{node_name}.rmp", routing, keygen)
-    relations = [(rmp, routing), (routing, keygen)]
+    rmp = QKDRMP(f"{node_name}.rmp", routing)
+    relations = [(rmp, routing)]
     if is_endnode:
         relations.insert(0, (QKDApp(f"{node_name}.app", rmp), rmp))
     return ProtocolStack(f"{node_name}.stack").build(relations)
@@ -300,8 +295,8 @@ class QKDNode(Node):
     """Node that dispatches key-distribution traffic to its stack.
 
     Loading a (built) stack names its layers once: `app` (None on a
-    repeater), `rmp` and `keygen`.  Messages, keygen ticks and the key
-    network reach a layer through these names, never by scanning the stack.
+    repeater) and `rmp`.  Messages, generated keys and the key network
+    reach a layer through these names, never by scanning the stack.
     """
 
     def load_protocol(self, stack):
@@ -309,28 +304,42 @@ class QKDNode(Node):
         layers = {type(p): p for p in stack.protocols}
         self.app = layers.get(QKDApp)
         self.rmp = layers[QKDRMP]
-        self.keygen = layers[KeyGeneration]
 
     def receive_classical_msg(self, msg, src):
         self.rmp.handle_classical(msg, src)
 
-    def keygen_tick(self, neighbor):
-        self.keygen.tick(neighbor)
+    def keygen_tick(self, peer):
+        """Add a key to the pool shared with `peer` and wake the resource
+        managers of both ends, this node's first, that wait for keys."""
+        if self.rmp.pools[peer.name].add_key():
+            for rmp in (self.rmp, peer.rmp):
+                if rmp.queue or rmp.waiting_local:
+                    rmp.pool_recovered()
+
+
+def keygen_interval_ps(keygen_rate) -> int:
+    """Picoseconds between two keys of a pool at `keygen_rate` keys/s."""
+    if not keygen_rate > 0 or round(1e12 / keygen_rate) < 1:
+        raise ValueError("keygen_rate must be positive and give a keygen interval "
+                         f"round(1e12 / keygen_rate) of at least 1 ps, got {keygen_rate}")
+    return round(1e12 / keygen_rate)
 
 
 class KeyDistributionNetwork:
-    """A network plus shared segment pools and per-node stacks."""
+    """A network plus shared segment pools, per-node stacks and the
+    keygen clock that fills the pools at `keygen_rate` keys/s each."""
 
     def __init__(self, network: Network, endnodes, pool_capacity=40,
                  key_length=32, keygen_rate=1000.0):
         self.network = network
         self.endnodes = list(endnodes)
+        self.interval_ps = keygen_interval_ps(keygen_rate)
         self.pools = {}
+        self._ends = {}  # pool key -> the link's two nodes, in link order
+        self.clocks = []
         env = network.env
         for node in network.nodes:
-            node.load_protocol(build_stack(node.name,
-                                           node.name in self.endnodes,
-                                           keygen_rate))
+            node.load_protocol(build_stack(node.name, node.name in self.endnodes))
         for link in network.links:
             if not any(isinstance(c, QuantumFiberChannel) for c in link.channels):
                 continue
@@ -339,15 +348,30 @@ class KeyDistributionNetwork:
                            rng=env.rng_for(f"pool:{a.name}:{b.name}"),
                            name=f"{a.name}~{b.name}")
             pool.fill()
-            self.pools[frozenset((a.name, b.name))] = pool
-            for node, neighbor in ((a, b.name), (b, a.name)):
-                node.keygen.attach_pool(neighbor, pool)
-                pool.on_add.append(node.rmp.pool_recovered)
+            key = frozenset((a.name, b.name))
+            self.pools[key] = pool
+            self._ends[key] = (a, b)
+            a.rmp.pools[b.name] = pool
+            b.rmp.pools[a.name] = pool
 
     def start(self):
-        """Launch one generation loop per pool; call after env.init()."""
-        for a_name, b_name in sorted(map(sorted, self.pools)):
-            self.network.node(a_name).keygen.start_generation(b_name)
+        """Start key generation; call after env.init().
+
+        Pools tick in the order of their sorted endpoint names, all on one
+        clock, or each on a clock of its own when a channel delay equals
+        the keygen interval (see `KeyClock`)."""
+        if self.clocks:
+            raise RuntimeError("key generation is already running")
+        env = self.network.env
+        generators = [(*self._ends[key], self.pools[key])
+                      for key in sorted(self.pools, key=sorted)]
+        if any(channel.delay_ps == self.interval_ps
+               for link in self.network.links for channel in link.channels):
+            self.clocks = [KeyClock(pool.name, env, self.interval_ps, [(a, b, pool)])
+                           for a, b, pool in generators]
+        else:
+            self.clocks = [KeyClock(self.network.name, env, self.interval_ps,
+                                    generators)]
 
     def issue_request(self, request: KeyRequest):
         self.network.node(request.src).app.issue(request)

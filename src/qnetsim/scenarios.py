@@ -24,7 +24,7 @@ from .netmodel.network import Link, Network, Node
 from .protocols.bb84 import bb84_generate
 from .protocols.chsh import chsh_play, classical_win_rate_exhaustive
 from .protocols.qkd_network import (KeyDistributionNetwork, KeyRequest,
-                                    build_chain_network)
+                                    build_chain_network, keygen_interval_ps)
 
 
 class ScenarioError(ValueError):
@@ -119,7 +119,17 @@ def run_bb84(config, seed, out_dir):
 
 # ---- key-pool architecture -----------------------------------------------
 
+# "seed" and "log_level" are the CLI's overrides, valid in every config
+_KEYPOOL_KEYS = {"scenario", "seed", "log_level", "capacity", "num_requests",
+                 "key_num", "key_length", "end_time_ps", "keygen_rate",
+                 "n_repeaters", "extra_endnodes", "distance_km"}
+
+
 def run_keypool(config, seed, out_dir):
+    unknown = sorted(set(config) - _KEYPOOL_KEYS)
+    if unknown:
+        raise ScenarioError(f"unknown keypool config key(s) {unknown}; "
+                            f"choose from {sorted(_KEYPOOL_KEYS)}")
     capacity = int(config.get("capacity", 40))
     num_requests = int(config.get("num_requests", 8))
     key_num = int(config.get("key_num", 10))
@@ -130,6 +140,12 @@ def run_keypool(config, seed, out_dir):
     extra = [tuple(e) for e in config.get("extra_endnodes",
                                           [["C", 0], ["D", 1]])]
     distance = float(config.get("distance_km", 1.0))
+    if capacity <= 0:
+        raise ScenarioError(f"capacity must be positive, got {capacity}")
+    try:
+        keygen_interval_ps(keygen_rate)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from None
 
     env = SimEnv("keypool", seed=seed)
     network, endnodes = build_chain_network(env, n_repeaters=n_repeaters,

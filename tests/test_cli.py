@@ -114,6 +114,29 @@ def test_run_unknown_log_level_exits_2(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("bad,named", [
+    ({"keygen_rate": 1e13}, "keygen_rate"),  # rounds to a 0 ps interval
+    ({"keygen_rate": 0}, "keygen_rate"),
+    ({"keygen_rate": -5}, "keygen_rate"),
+    ({"capacity": 0}, "capacity"),
+    ({"capacitty": 30}, "capacitty"),
+])
+def test_run_bad_keypool_config_exits_2_naming_the_key(tmp_path, capsys, bad, named):
+    cfg = _write_config(tmp_path, {"scenario": "keypool", "seed": 3, **bad})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+
+
+def test_run_keypool_accepts_every_documented_key(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "scenario": "keypool", "seed": 3, "log_level": "INFO", "capacity": 20,
+        "num_requests": 4, "key_num": 5, "key_length": 16, "end_time_ps": 10**10,
+        "keygen_rate": 1e12, "n_repeaters": 2, "extra_endnodes": [["C", 1]],
+        "distance_km": 0.5})
+    assert main(["run", "--config", cfg, "--end-time", "1ns",
+                 "--out-dir", str(tmp_path / "o")]) == 0
+
+
 # ---- compile --------------------------------------------------------------
 
 def _teleport_script_path(tmp_path):

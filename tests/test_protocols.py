@@ -385,23 +385,87 @@ def test_oversized_request_is_rejected():
     assert req.state == "rejected"
 
 
-# ---- reusable keygen timers and block-drawn pool keys ----------------------
+# ---- the keygen clock and block-drawn pool keys --------------------------
 
-def test_keygen_loop_reuses_one_event_per_pool():
+def _keygen_network(distance_km=1.0, keygen_rate=1000.0, capacity=10, **chain):
     env = SimEnv("kg", seed=0)
-    network, endnodes = build_chain_network(env, n_repeaters=0, distance_km=1.0)
-    kdn = KeyDistributionNetwork(network, endnodes, pool_capacity=10,
-                                 keygen_rate=1000.0)
+    network, endnodes = build_chain_network(env, distance_km=distance_km, **chain)
+    kdn = KeyDistributionNetwork(network, endnodes, pool_capacity=capacity,
+                                 keygen_rate=keygen_rate)
     env.init()
     kdn.start()
-    (timer,) = [event for *_, event in env.fel.heap]
+    return env, kdn
+
+
+def test_keygen_clock_is_the_one_pending_keygen_event():
+    env, kdn = _keygen_network(n_repeaters=1)  # two pools, 1 ms interval
+    (clock,) = kdn.clocks
+    assert [event for *_, event in env.fel.heap] == [clock.event]
     env.run(end_time=5 * 10**9 + 1)
-    ticks = [line for line in env.trace if line[3] == "A.keygen_tick"]
-    assert len(ticks) == len(env.trace) == 5
-    assert [t for t, *_ in ticks] == [k * 10**9 for k in range(1, 6)]
-    assert [seq for _, _, seq, _ in ticks] == [0, 1, 2, 3, 4]
-    assert [event for *_, event in env.fel.heap] == [timer]
-    assert (timer.time, timer.seq) == (6 * 10**9, 5)
+    assert env.trace == [(k * 10**9, 0, k - 1, "kdnet.keygen") for k in range(1, 6)]
+    assert [event for *_, event in env.fel.heap] == [clock.event]
+    assert (clock.event.time, clock.event.seq) == (6 * 10**9, 5)
+
+
+def test_pool_generated_is_fill_plus_instants_with_room():
+    env, kdn = _keygen_network(keygen_rate=20_000.0, capacity=12, n_repeaters=2,
+                               extra_endnodes=[("C", 0)])
+    (clock,) = kdn.clocks
+    room = dict.fromkeys(kdn.pools, 0)
+    keygen = clock.keygen
+
+    def counting_keygen():  # looks at the pools before the clock adds keys
+        for key, pool in kdn.pools.items():
+            room[key] += pool.v_current < pool.v_max
+        keygen()
+
+    clock.keygen = counting_keygen
+    rng = env.rng_for("wl")
+    for rid in range(30):
+        src, dst = rng.choice(["A", "B", "C"], 2, replace=False)
+        kdn.schedule_request(int(rng.integers(0, 10**10)),
+                             KeyRequest(id=rid, src=str(src), dst=str(dst), key_num=5))
+    env.run(end_time=2 * 10**10)
+    assert all(room.values())  # every pool was drained and refilled
+    for key, pool in kdn.pools.items():
+        assert pool.generated == pool.v_max + room[key]
+        assert pool.generated - pool.delivered == pool.v_current
+
+
+def test_hop_delay_equal_to_interval_gives_each_pool_a_clock():
+    # 4 km of fiber is 20 us, the interval of 50,000 keys/s
+    env, kdn = _keygen_network(distance_km=4.0, keygen_rate=50_000.0, n_repeaters=1)
+    names = [clock.name for clock in kdn.clocks]
+    assert names == ["A~R1", "R1~B"]
+    assert [[(a.name, b.name, pool.name) for a, b, pool in clock.generators]
+            for clock in kdn.clocks] == [[("A", "R1", "A~R1")], [("R1", "B", "R1~B")]]
+    env.run(end_time=2 * 20 * 10**6)
+    assert [line[3] for line in env.trace] == [f"{name}.keygen" for name in names] * 2
+    _env, kdn = _keygen_network(distance_km=4.0, keygen_rate=40_000.0, n_repeaters=1)
+    assert [clock.name for clock in kdn.clocks] == ["kdnet"]
+
+
+def test_added_keys_wake_only_waiting_resource_managers(monkeypatch):
+    from qnetsim.protocols.qkd_network import QKDRMP
+
+    calls = []
+    pool_recovered = QKDRMP.pool_recovered
+    monkeypatch.setattr(QKDRMP, "pool_recovered",
+                        lambda rmp: calls.append(rmp.name) or pool_recovered(rmp))
+    env, kdn = _keygen_network(n_repeaters=1)
+    for pool in kdn.pools.values():
+        pool.deliver(5)  # room for keys, but nothing waits for them
+    env.run(end_time=10 * 10**9)
+    assert all(pool.generated == 15 for pool in kdn.pools.values())
+    assert calls == []
+
+
+def test_keygen_rate_must_give_a_positive_interval():
+    env = SimEnv("kg", seed=0)
+    network, endnodes = build_chain_network(env, n_repeaters=1)
+    for rate in (0.0, -5.0, 1e13, float("nan")):
+        with pytest.raises(ValueError, match="keygen_rate"):
+            KeyDistributionNetwork(network, endnodes, keygen_rate=rate)
 
 
 def _reference_keys(seed, key_length, count):
