@@ -1,5 +1,5 @@
 from .gates import gate_matrix, gate_arity, controlled_name, GATE_NAMES
-from .circuit import Circuit, CircuitInstruction, OutcomeRecord
+from .circuit import Circuit, CircuitInstruction
 from .statevector import StateVector
 from .simulator import run_circuit, exact_state, is_standard, histogram_to_csv
 
@@ -10,7 +10,6 @@ __all__ = [
     "GATE_NAMES",
     "Circuit",
     "CircuitInstruction",
-    "OutcomeRecord",
     "StateVector",
     "run_circuit",
     "exact_state",

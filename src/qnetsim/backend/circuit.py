@@ -55,14 +55,6 @@ class CircuitInstruction:
                    cond=obj.get("cond"))
 
 
-class OutcomeRecord(dict):
-    """Map register index -> measured bit for one shot."""
-
-    def __init__(self, shot=0):
-        super().__init__()
-        self.shot = shot
-
-
 class Circuit:
     """Ordered list of instructions; dynamic or standard.
 

@@ -41,7 +41,8 @@ class Node(Entity):
 
     def load_protocol(self, stack):
         self.stack = stack
-        stack.owner_node = self
+        for proto in stack.protocols:
+            proto.node = self
 
     # ---- messaging ------------------------------------------------------
     def channel_to(self, dst, kind=ClassicalFiberChannel):
@@ -49,13 +50,12 @@ class Node(Entity):
             raise RuntimeError(f"node {self.name!r} is not installed in a network")
         return self.network.channel_between(self, dst, kind)
 
+    # override points for what channels deliver; a plain node drops it
     def receive_classical_msg(self, msg, src):
-        if self.stack is not None:
-            self.stack.handle_classical(msg, src)
+        pass
 
     def receive_quantum_msg(self, qubit, src):
-        if self.stack is not None:
-            self.stack.handle_quantum(qubit, src)
+        pass
 
 
 class Link(Entity):

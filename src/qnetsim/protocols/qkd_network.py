@@ -17,6 +17,14 @@ destination returns an acceptance; repeaters process or queue the
 request depending on their pools; ciphertexts flow to the destination,
 which combines everything into the end-to-end key and propagates a done
 message back to the source.
+
+The source routes a request once into its hop map, `request.hops` =
+{node: (upstream, downstream)} with None beyond either end, from which
+each node learns the pools that serve it (an endpoint's is on the side
+that is not None).  ACCEPT retraces the path hop by hop, so its
+repeaters see it even where the route back to the source differs.
+REJECT, CIPHERTEXT and DONE are relay-only: read at the end they travel
+to, forwarded unread everywhere else.
 """
 
 from __future__ import annotations
@@ -54,6 +62,7 @@ class KeyRequest:
     issued_ps: int = 0
     completed_ps: int | None = None
     path: list = field(default_factory=list)
+    hops: dict = field(default_factory=dict)  # path node -> (upstream, downstream)
     ciphertexts: dict = field(default_factory=dict)  # repeater name -> key list
     src_keys: list | None = None
     dst_keys: list | None = None
@@ -125,15 +134,6 @@ class QKDRMP(Protocol):
         self.queue = []  # FIFO of queued KeyRequests (repeater role)
         self.waiting_local = []  # endnode requests waiting for segment keys
 
-    # --- helpers ---------------------------------------------------------
-    def _segment_neighbors(self, request):
-        """(upstream, downstream) neighbors of this node on the path."""
-        path = request.path
-        i = path.index(self.node.name)
-        up = path[i - 1] if i > 0 else None
-        down = path[i + 1] if i < len(path) - 1 else None
-        return up, down
-
     # --- request initiation (source side) --------------------------------
     def initiate(self, request: KeyRequest):
         request.issued_ps = self.env.now
@@ -142,66 +142,56 @@ class QKDRMP(Protocol):
             request.state = "unreachable"
             return
         request.path = path
+        request.hops = {name: (up, down) for up, name, down
+                        in zip([None, *path], path, [*path[1:], None])}
         self.routing.forward({"type": "REQUEST", "request": request}, request.dst)
 
     # --- message handling ------------------------------------------------
     def handle_classical(self, msg, src):
-        self._HANDLERS[msg["type"]](self, msg["request"], msg)
-
-    def _is_repeater_for(self, request):
-        name = self.node.name
-        return name in request.path and name not in (request.src, request.dst)
+        request = msg["request"]
+        end = self._RELAYED.get(msg["type"])
+        if end and getattr(request, end) != self.node.name:
+            self.routing.forward(msg, getattr(request, end))
+            return
+        self._HANDLERS[msg["type"]](self, request, msg)
 
     def _on_request(self, request, msg):
-        name = self.node.name
-        if name == request.dst:
+        up, down = request.hops[self.node.name]
+        if down is None:  # destination
             request.advance("accepted")
-            self.routing.forward({"type": "ACCEPT", "request": request}, request.src)
-            self._take_local_segment(request, role="dst")
-            return
-        # forward-or-reject at a repeater: fail fast when no on-path pool
-        # could ever hold enough keys
-        up, down = self._segment_neighbors(request)
-        for neighbor in (up, down):
-            if request.key_num > self.pools[neighbor].v_max:
-                self.routing.forward({"type": "REJECT", "request": request},
-                                     request.src)
-                return
-        self.routing.forward(msg, request.dst)
+            self.routing.forward({"type": "ACCEPT", "request": request}, up)
+            self._take_or_wait(request)
+        elif any(request.key_num > self.pools[n].v_max for n in (up, down)):
+            # fail fast: an on-path pool can never hold enough keys
+            self.routing.forward({"type": "REJECT", "request": request}, request.src)
+        else:
+            self.routing.forward(msg, request.dst)
 
     def _on_reject(self, request, msg):
-        if self.node.name == request.src:
-            request.state = "rejected"
-        else:
-            self.routing.forward(msg, request.src)
+        request.state = "rejected"
 
     def _on_accept(self, request, msg):
-        name = self.node.name
-        if self._is_repeater_for(request):
-            self.routing.forward(msg, request.src)
-            request.advance("queued")
-            self.queue.append(request)
-            self.try_process()
+        up = request.hops[self.node.name][0]
+        if up is None:  # source
+            self._take_or_wait(request)
             return
-        if name == request.src:
-            # take this end's segment keys; wait on backpressure
-            self._take_local_segment(request, role="src")
+        self.routing.forward(msg, up)
+        request.advance("queued")
+        self.queue.append(request)
+        self.try_process()
 
-    def _take_local_segment(self, request, role):
-        done_already = request.src_keys if role == "src" else request.dst_keys
-        if done_already is not None or (request, role) in self.waiting_local:
-            return
-        if not self._take_local(request, role):
-            self.waiting_local.append((request, role))
+    def _take_or_wait(self, request):
+        if not self._take_local(request):
+            self.waiting_local.append(request)
 
-    def _take_local(self, request, role) -> bool:
+    def _take_local(self, request) -> bool:
         """Take this end's segment keys if its pool serves them; False
         when the request must wait."""
-        neighbor = request.path[1] if role == "src" else request.path[-2]
-        keys = self.pools[neighbor].take_for(request.id, request.key_num)
+        up, down = request.hops[self.node.name]
+        keys = self.pools[up or down].take_for(request.id, request.key_num)
         if keys is None:
             return False
-        if role == "src":
+        if up is None:
             request.src_keys = keys
         else:
             request.dst_keys = keys
@@ -212,9 +202,8 @@ class QKDRMP(Protocol):
     def try_process(self):
         while self.queue:
             request = self.queue[0]
-            up, down = self._segment_neighbors(request)
-            pool_up = self.pools[up]
-            pool_down = self.pools[down]
+            up, down = request.hops[self.node.name]
+            pool_up, pool_down = self.pools[up], self.pools[down]
             if not (pool_up.can_take_for(request.id, request.key_num) and
                     pool_down.can_take_for(request.id, request.key_num)):
                 return
@@ -229,30 +218,19 @@ class QKDRMP(Protocol):
 
     # --- destination side -------------------------------------------------
     def _on_ciphertext(self, request, msg):
-        if self.node.name != request.dst:
-            self.routing.forward(msg, request.dst)
-            return
         request.ciphertexts[msg["repeater"]] = msg["cipher"]
-        if request.dst_keys is None:
-            self._take_local_segment(request, role="dst")
-        else:
-            self._try_complete_dst(request)
+        self._try_complete_dst(request)
 
     def _try_complete_dst(self, request):
-        repeaters = request.path[1:-1]
-        if request.dst_keys is None or any(r not in request.ciphertexts
-                                           for r in repeaters):
-            return
+        if request.dst_keys is None or len(request.ciphertexts) < len(request.hops) - 2:
+            return  # wait for this end's keys and every repeater's ciphertext
         keys = request.dst_keys
-        for repeater in reversed(repeaters):
-            keys = xor_key_lists(keys, request.ciphertexts[repeater])
+        for cipher in request.ciphertexts.values():  # XOR commutes: any order
+            keys = xor_key_lists(keys, cipher)
         request.dst_keys = keys  # now equals the source-side segment keys
         self.routing.forward({"type": "DONE", "request": request}, request.src)
 
     def _on_done(self, request, msg):
-        if self.node.name != request.src:
-            self.routing.forward(msg, request.src)
-            return
         request.advance("done")
         request.completed_ps = self.env.now
 
@@ -260,13 +238,16 @@ class QKDRMP(Protocol):
     def pool_recovered(self):
         """Serve what waits on this node's pools; a no-op when nothing waits."""
         self.try_process()
-        self.waiting_local = [(request, role) for request, role in self.waiting_local
-                              if not self._take_local(request, role)]
+        self.waiting_local = [request for request in self.waiting_local
+                              if not self._take_local(request)]
 
     # message type -> handler, taken once from the methods above
     _HANDLERS = {"REQUEST": _on_request, "REJECT": _on_reject,
                  "ACCEPT": _on_accept, "CIPHERTEXT": _on_ciphertext,
                  "DONE": _on_done}
+    # relay-only message type -> the request end it travels to; every other
+    # node on the way forwards it unread
+    _RELAYED = {"REJECT": "src", "CIPHERTEXT": "dst", "DONE": "src"}
 
 
 class QKDApp(Protocol):

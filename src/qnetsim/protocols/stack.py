@@ -8,18 +8,14 @@ class Protocol:
 
     Messages travel between adjacent layers via send_upper/send_lower and
     across the network between peer protocols via the owning node's
-    channels.
+    channels.  Loading a stack onto a node sets each layer's `node`.
     """
 
     def __init__(self, name):
         self.name = name
-        self.stack = None
+        self.node = None
         self.upper = []
         self.lower = []
-
-    @property
-    def node(self):
-        return self.stack.owner_node if self.stack else None
 
     @property
     def env(self):
@@ -40,18 +36,11 @@ class Protocol:
     def handle_lower(self, sender, msg, **kwargs):
         pass
 
-    def handle_classical(self, msg, src):
-        pass
-
-    def handle_quantum(self, qubit, src):
-        pass
-
 
 class ProtocolStack:
     def __init__(self, name):
         self.name = name
         self.protocols = []
-        self.owner_node = None
 
     def build(self, relations):
         """Define the hierarchy from (upper, lower) protocol pairs."""
@@ -59,15 +48,6 @@ class ProtocolStack:
             for proto in (upper, lower):
                 if proto not in self.protocols:
                     self.protocols.append(proto)
-                    proto.stack = self
             upper.lower.append(lower)
             lower.upper.append(upper)
         return self
-
-    def handle_classical(self, msg, src):
-        for proto in self.protocols:
-            proto.handle_classical(msg, src)
-
-    def handle_quantum(self, qubit, src):
-        for proto in self.protocols:
-            proto.handle_quantum(qubit, src)

@@ -119,17 +119,7 @@ def run_bb84(config, seed, out_dir):
 
 # ---- key-pool architecture -----------------------------------------------
 
-# "seed" and "log_level" are the CLI's overrides, valid in every config
-_KEYPOOL_KEYS = {"scenario", "seed", "log_level", "capacity", "num_requests",
-                 "key_num", "key_length", "end_time_ps", "keygen_rate",
-                 "n_repeaters", "extra_endnodes", "distance_km"}
-
-
 def run_keypool(config, seed, out_dir):
-    unknown = sorted(set(config) - _KEYPOOL_KEYS)
-    if unknown:
-        raise ScenarioError(f"unknown keypool config key(s) {unknown}; "
-                            f"choose from {sorted(_KEYPOOL_KEYS)}")
     capacity = int(config.get("capacity", 40))
     num_requests = int(config.get("num_requests", 8))
     key_num = int(config.get("key_num", 10))
@@ -137,8 +127,10 @@ def run_keypool(config, seed, out_dir):
     end_time = int(config.get("end_time_ps", 200_000_000_000))  # 0.2 s
     keygen_rate = float(config.get("keygen_rate", 20.0))
     n_repeaters = int(config.get("n_repeaters", 2))
-    extra = [tuple(e) for e in config.get("extra_endnodes",
-                                          [["C", 0], ["D", 1]])]
+    if n_repeaters < 0:
+        raise ScenarioError(f"n_repeaters must not be negative, got {n_repeaters}")
+    extra = _extra_endnodes(config.get("extra_endnodes", [["C", 0], ["D", 1]]),
+                            n_repeaters)
     distance = float(config.get("distance_km", 1.0))
     if capacity <= 0:
         raise ScenarioError(f"capacity must be positive, got {capacity}")
@@ -183,6 +175,27 @@ def run_keypool(config, seed, out_dir):
     agree = all(r.src_keys == r.dst_keys for r in requests if r.state == "done")
     return {"primary": processed, "processed_requests": processed,
             "keys_agree": agree, "requests": requests}
+
+
+def _extra_endnodes(entries, n_repeaters):
+    """The (name, repeater index) pairs of the endnodes hung off the chain
+    A - R1 - ... - Rn - B, each checked against the chain."""
+    names = {"A", "B", *(f"R{i + 1}" for i in range(n_repeaters))}
+    extra = []
+    for entry in entries:
+        if not (isinstance(entry, (list, tuple)) and len(entry) == 2
+                and isinstance(entry[0], str) and isinstance(entry[1], int)):
+            raise ScenarioError("extra_endnodes entries must be [name, repeater index] "
+                                f"pairs, got {entry!r}")
+        name, index = entry
+        if not 0 <= index < n_repeaters:
+            raise ScenarioError(f"extra_endnodes index {index} of {name!r} must satisfy "
+                                f"0 <= index < n_repeaters = {n_repeaters}")
+        if name in names:
+            raise ScenarioError(f"extra_endnodes name {name!r} is already in the chain")
+        names.add(name)
+        extra.append((name, index))
+    return extra
 
 
 # ---- satellite pass ------------------------------------------------------
@@ -232,21 +245,32 @@ def run_satellite(config, seed, out_dir):
             "sifted_series": sifted_counts, "distance_series": distances}
 
 
+# scenario -> (runner, the config keys it reads); "scenario", "seed" and
+# "log_level" (the CLI's overrides) are valid in every config
+_COMMON_KEYS = {"scenario", "seed", "log_level"}
 _SCENARIOS = {
-    "chsh": run_chsh,
-    "bb84": run_bb84,
-    "keypool": run_keypool,
-    "satellite": run_satellite,
+    "chsh": (run_chsh, {"strategy", "rounds", "exhaustive"}),
+    "bb84": (run_bb84, {"distance_km", "pulses", "source", "detector"}),
+    "keypool": (run_keypool, {"capacity", "num_requests", "key_num", "key_length",
+                              "end_time_ps", "keygen_rate", "n_repeaters",
+                              "extra_endnodes", "distance_km"}),
+    "satellite": (run_satellite, {"window_ps", "min_km", "max_km", "loss_table",
+                                  "bins", "pulses_per_bin", "efficiency"}),
 }
 
 
 def run_scenario(config, seed, out_dir):
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     kind = config.get("scenario")
     if kind not in _SCENARIOS:
         raise ScenarioError(f"unknown scenario {kind!r}; "
                             f"choose from {sorted(_SCENARIOS)}")
-    metrics = _SCENARIOS[kind](config, seed, out_dir)
+    run, keys = _SCENARIOS[kind]
+    unknown = sorted(set(config) - keys - _COMMON_KEYS)
+    if unknown:
+        raise ScenarioError(f"unknown {kind} config key(s) {unknown}; "
+                            f"choose from {sorted(keys | _COMMON_KEYS)}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    metrics = run(config, seed, out_dir)
     write_manifest(out_dir, config, seed)
     return metrics

@@ -120,11 +120,38 @@ def test_run_unknown_log_level_exits_2(tmp_path, capsys):
     ({"keygen_rate": -5}, "keygen_rate"),
     ({"capacity": 0}, "capacity"),
     ({"capacitty": 30}, "capacitty"),
+    ({"n_repeaters": 1}, "extra_endnodes"),  # the default extras hang D off R2
+    ({"extra_endnodes": [["C", -1]]}, "extra_endnodes"),
+    ({"extra_endnodes": [["A", 0]]}, "extra_endnodes"),  # A is already in the chain
+    ({"extra_endnodes": [["C", 0], ["C", 1]]}, "extra_endnodes"),
+    ({"extra_endnodes": [["C"]]}, "extra_endnodes"),
+    ({"extra_endnodes": [[0, 1]]}, "extra_endnodes"),
+    ({"n_repeaters": -1}, "n_repeaters"),
 ])
 def test_run_bad_keypool_config_exits_2_naming_the_key(tmp_path, capsys, bad, named):
     cfg = _write_config(tmp_path, {"scenario": "keypool", "seed": 3, **bad})
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [
+    {"scenario": "chsh", "rounds": 100, "roundz": 5},
+    {"scenario": "bb84", "pulses": 100, "roundz": 5},
+    {"scenario": "satellite", "bins": 3, "roundz": 5},
+])
+def test_run_unknown_config_key_exits_2_naming_it(tmp_path, capsys, config):
+    cfg = _write_config(tmp_path, {"seed": 3, "log_level": "INFO", **config})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert "roundz" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("scenario", ["chsh", "bb84", "satellite"])
+def test_run_end_time_on_a_scenario_without_one_exits_2(tmp_path, capsys, scenario):
+    cfg = _write_config(tmp_path, {"scenario": scenario})
+    assert main(["run", "--config", cfg, "--end-time", "1us",
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert "end_time_ps" in capsys.readouterr().err
 
 
 def test_run_keypool_accepts_every_documented_key(tmp_path):
@@ -135,6 +162,21 @@ def test_run_keypool_accepts_every_documented_key(tmp_path):
         "distance_km": 0.5})
     assert main(["run", "--config", cfg, "--end-time", "1ns",
                  "--out-dir", str(tmp_path / "o")]) == 0
+
+
+@pytest.mark.parametrize("config", [
+    {"scenario": "chsh", "strategy": "classical-optimal", "rounds": 100,
+     "exhaustive": True},
+    {"scenario": "bb84", "distance_km": 1.0, "pulses": 100,
+     "source": {"frequency": 1e6, "exact_photon_number": 1},
+     "detector": {"efficiency": 1.0, "dark_count_rate": 0.0}},
+    {"scenario": "satellite", "window_ps": [0, 10**9], "min_km": 500.0,
+     "max_km": 900.0, "loss_table": [[500.0, 13.0], [900.0, 16.0]], "bins": 3,
+     "pulses_per_bin": 100, "efficiency": 0.5},
+])
+def test_run_accepts_every_documented_key(tmp_path, config):
+    cfg = _write_config(tmp_path, {"seed": 3, "log_level": "INFO", **config})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
 
 
 # ---- compile --------------------------------------------------------------

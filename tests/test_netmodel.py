@@ -60,6 +60,18 @@ def test_classical_channel_delivers_after_delay(env):
     assert arrivals == [(10_000_000, "hello", a)]
 
 
+def test_plain_node_drops_what_channels_deliver(env):
+    a, b = Node("a", env), Node("b", env)
+    classical = ClassicalFiberChannel("c", a, b, 1.0, env=env)
+    quantum = QuantumFiberChannel("q", a, b, 0.0, env=env)  # lossless
+    env.init()
+    classical.transmit("hello", src=a)
+    quantum.transmit("qubit", src=a)
+    env.run()
+    assert sorted(handler for *_, handler in env.trace) == [
+        "b.receive_classical_msg", "b.receive_quantum_msg"]
+
+
 def test_channel_rejects_wrong_sender(env):
     a, b, c = Node("a", env), Node("b", env), Node("c", env)
     ch = ClassicalFiberChannel("c", a, b, 1.0, env=env)

@@ -17,7 +17,7 @@ from qnetsim.protocols import (CLASSICAL_OPTIMAL_WIN_RATE,
                                decoy_bb84_generate, entanglement_swap,
                                teleport)
 from qnetsim.protocols.chsh import classical_win_rate_exhaustive
-from qnetsim.protocols.qkd_network import xor_keys
+from qnetsim.protocols.qkd_network import QKDNode, build_stack, xor_keys
 from qnetsim.protocols.teleport import bell_measure
 
 
@@ -50,6 +50,21 @@ def test_stack_messages_traverse_layers():
     top.send_lower("ping")
     bottom.send_upper("pong")
     assert log == [("down", "ping"), ("up", "pong")]
+
+
+def test_load_protocol_sets_every_layers_node():
+    env = SimEnv("s", seed=0)
+    node = Node("n", env=env)
+    top, bottom = Protocol("top"), Protocol("bottom")
+    stack = ProtocolStack("s").build([(top, bottom)])
+    assert top.node is None and bottom.node is None
+    node.load_protocol(stack)
+    assert node.stack is stack
+    assert all(p.node is node and p.env is env for p in (top, bottom))
+    qkd = QKDNode("q", env=env)
+    qkd.load_protocol(build_stack("q", is_endnode=True))
+    assert [p.node for p in qkd.stack.protocols] == [qkd] * 3
+    assert qkd.app.env is qkd.rmp.env is env
 
 
 # ---- key pool -------------------------------------------------------------
@@ -369,6 +384,54 @@ def test_request_lifecycle_is_monotone():
     assert req.state == "serving"
     req.advance("done")
     assert req.state == "done"
+
+
+def test_request_hops_map_each_path_node_to_its_neighbours():
+    env = SimEnv("kdn", seed=0)
+    network, endnodes = build_chain_network(env, n_repeaters=3,
+                                            extra_endnodes=[("C", 1)])
+    network.install_node(QKDNode("Z", env=env))  # no link reaches it
+    kdn = KeyDistributionNetwork(network, endnodes + ["Z"])
+    env.init()
+    kdn.start()
+    along, branch, lost = (KeyRequest(id=0, src="A", dst="B"),
+                           KeyRequest(id=1, src="C", dst="A"),
+                           KeyRequest(id=2, src="A", dst="Z"))
+    for request in (along, branch, lost):
+        kdn.issue_request(request)
+    assert along.hops == {"A": (None, "R1"), "R1": ("A", "R2"), "R2": ("R1", "R3"),
+                          "R3": ("R2", "B"), "B": ("R3", None)}
+    assert branch.hops == {"C": (None, "R2"), "R2": ("C", "R1"), "R1": ("R2", "A"),
+                           "A": ("R1", None)}
+    assert lost.state == "unreachable" and lost.hops == {}
+    env.run(end_time=10**11)
+    assert along.state == branch.state == "done"
+
+
+def test_accept_retraces_the_path_where_the_route_back_differs():
+    # a six-cycle: A->B runs A-P-Z-B, but the route back runs B-C-Q-A
+    env = SimEnv("kdn", seed=0)
+    network = Network("ring", env=env)
+    nodes = {name: QKDNode(name, env=env) for name in "APZBQC"}
+    for node in nodes.values():
+        network.install_node(node)
+    for a, b in ("AP", "PZ", "ZB", "AQ", "QC", "CB"):
+        link = Link(a + b, ends=(nodes[a], nodes[b]), env=env)
+        network.install_link(link)
+        for s, r in ((a, b), (b, a)):
+            link.install_channel(ClassicalFiberChannel(f"c:{s}{r}", nodes[s],
+                                                       nodes[r], 1.0, env=env))
+        link.install_channel(QuantumFiberChannel(f"q:{a}{b}", nodes[a], nodes[b],
+                                                 1.0, env=env))
+    kdn = KeyDistributionNetwork(network, ["A", "B"])
+    env.init()
+    kdn.start()
+    request = KeyRequest(id=0, src="A", dst="B")
+    kdn.issue_request(request)
+    env.run(end_time=10**11)
+    assert network.route("B", "A") == ["B", "C", "Q", "A"]
+    assert request.path == ["A", "P", "Z", "B"]
+    assert request.state == "done" and request.src_keys == request.dst_keys
 
 
 def test_oversized_request_is_rejected():
