@@ -136,7 +136,7 @@ class StateVector:
 
     # ---- measurement ----------------------------------------------------
     def prob_one(self, reg) -> float:
-        return _sq_norm(self._halves(reg)[1])
+        return min(_sq_norm(self._halves(reg)[1]), 1.0)  # rounding can exceed 1
 
     def project(self, reg, bit) -> float:
         """Collapse the register to `bit` in place; returns the branch

@@ -8,7 +8,7 @@ broken toward the lexicographically smallest next hop.
 Node lookups by name go through a dict, and channel lookups are
 memoised per (sender, receiver, kind): nodes, links and channels are
 only ever added, so a channel once found stays the answer.  The first
-classical channel toward a destination is memoised until routes change.
+channel and the whole path toward a destination last until routes change.
 """
 
 from __future__ import annotations
@@ -82,6 +82,7 @@ class Network(Entity):
         self._by_name = {}  # node name -> node
         self._channels = {}  # (sender, receiver, kind) -> channel, filled on lookup
         self._toward = {}  # (sender, destination name) -> first classical channel
+        self._paths = {}  # (sender, destination name) -> (path delay ps, last channel)
         self.classical_routes = {}
         self.quantum_routes = {}
 
@@ -159,6 +160,7 @@ class Network(Entity):
         self.classical_routes = self._routes(ClassicalFiberChannel)
         self.quantum_routes = self._routes(QuantumFiberChannel)
         self._toward.clear()
+        self._paths.clear()
 
     def next_hop(self, src, dst, quantum=False) -> str | None:
         table = self.quantum_routes if quantum else self.classical_routes
@@ -176,6 +178,21 @@ class Network(Entity):
             channel = self._toward[key] = self.channel_between(
                 src, self._by_name[hop], ClassicalFiberChannel)
         return channel
+
+    def path_toward(self, src, dst) -> tuple:
+        """(delay ps, last channel) of the classical path that hop-by-hop
+        forwarding takes from node `src` to the node named `dst`."""
+        hops, node = [], src  # walk to dst or to a node whose rest is known
+        while (node, dst) not in self._paths and (not hops or node.name != dst):
+            hops.append(self.channel_toward(node, dst))
+            if hops[-1] is None:  # dst is unreachable or src itself
+                raise LookupError(f"no classical path from {src.name!r} to {dst!r}")
+            node = hops[-1].receiver
+        delay, last = self._paths.get((node, dst)) or (0, hops[-1])
+        for channel in reversed(hops):
+            delay += channel.delay_ps
+            self._paths[channel.sender, dst] = (delay, last)
+        return self._paths[src, dst]
 
     def route(self, src, dst, quantum=False):
         """Full node-name path src..dst, or None when unreachable."""

@@ -23,8 +23,8 @@ The source routes a request once into its hop map, `request.hops` =
 each node learns the pools that serve it (an endpoint's is on the side
 that is not None).  ACCEPT retraces the path hop by hop, so its
 repeaters see it even where the route back to the source differs.
-REJECT, CIPHERTEXT and DONE are relay-only: read at the end they travel
-to, forwarded unread everywhere else.
+REJECT, CIPHERTEXT and DONE are relay-only: each is one event at the end
+that reads it, due when hop-by-hop forwarding would bring it there.
 """
 
 from __future__ import annotations
@@ -83,17 +83,17 @@ class KeyClock:
     order, has `node` generate a key toward `peer` into every pool below
     its capacity (`QKDNode.keygen_tick`), then re-arms its one event.
 
-    Why one clock for all pools keeps every other event in its order and
-    every random draw in its place: with one timer per pool, started
-    together in generator order and each re-armed right after its own key,
-    the timers due at instant T + I are all scheduled during instant T.
-    Between two of those re-arms the only code that runs is the wake-ups
-    of a key, which send first-hop messages due at T + D for a classical
-    channel delay D.  Unless some D equals the interval I, the timers of
-    each instant thus form one contiguous block of the event list with
-    nothing run between them, and one event re-armed after the block's
-    last key pops where the block would, relative to every other event.
-    When some D equals I, such messages pop inside the block, so the
+    Why one clock for all pools keeps every event that touches a pool in
+    its order and every random draw in its place: with one timer per pool,
+    started together in generator order and each re-armed after its own
+    key, the timers due at T + I are all scheduled during instant T, and
+    between two re-arms only the wake-ups of a key run.  These send
+    first-hop messages due at T + D for a channel delay D, and relay-only
+    messages, which touch no pool, due at T + their path delay.  Unless
+    some D equals the interval I, the timers of an instant thus form one
+    block with no pool-touching event run inside it, and one event
+    re-armed after the block's last key pops where the block would.  When
+    some D equals I, first-hop messages pop inside the block, so the
     network gives each pool a clock of its own: one timer per pool again.
     """
 
@@ -123,6 +123,13 @@ class QKDRouting(Protocol):
             raise RuntimeError(f"no route from {node.name!r} to {toward!r}")
         channel.transmit(msg, node)
 
+    def relay(self, msg, end):
+        """Send `msg`, which only the node named `end` reads, as one event
+        there, due when hop-by-hop forwarding would bring it."""
+        delay, channel = self.node.network.path_toward(self.node, end)
+        self.env.schedule_after(delay, channel.receiver, "receive_classical_msg",
+                                msg, channel.sender)
+
 
 class QKDRMP(Protocol):
     """Resource management: request queue and pool coordination."""
@@ -148,12 +155,7 @@ class QKDRMP(Protocol):
 
     # --- message handling ------------------------------------------------
     def handle_classical(self, msg, src):
-        request = msg["request"]
-        end = self._RELAYED.get(msg["type"])
-        if end and getattr(request, end) != self.node.name:
-            self.routing.forward(msg, getattr(request, end))
-            return
-        self._HANDLERS[msg["type"]](self, request, msg)
+        self._HANDLERS[msg["type"]](self, msg["request"], msg)
 
     def _on_request(self, request, msg):
         up, down = request.hops[self.node.name]
@@ -163,7 +165,7 @@ class QKDRMP(Protocol):
             self._take_or_wait(request)
         elif any(request.key_num > self.pools[n].v_max for n in (up, down)):
             # fail fast: an on-path pool can never hold enough keys
-            self.routing.forward({"type": "REJECT", "request": request}, request.src)
+            self.routing.relay({"type": "REJECT", "request": request}, request.src)
         else:
             self.routing.forward(msg, request.dst)
 
@@ -212,9 +214,9 @@ class QKDRMP(Protocol):
             k_up = pool_up.take_for(request.id, request.key_num)
             k_down = pool_down.take_for(request.id, request.key_num)
             cipher = xor_key_lists(k_up, k_down)
-            self.routing.forward({"type": "CIPHERTEXT", "request": request,
-                                  "repeater": self.node.name,
-                                  "cipher": cipher}, request.dst)
+            self.routing.relay({"type": "CIPHERTEXT", "request": request,
+                                "repeater": self.node.name,
+                                "cipher": cipher}, request.dst)
 
     # --- destination side -------------------------------------------------
     def _on_ciphertext(self, request, msg):
@@ -228,7 +230,7 @@ class QKDRMP(Protocol):
         for cipher in request.ciphertexts.values():  # XOR commutes: any order
             keys = xor_key_lists(keys, cipher)
         request.dst_keys = keys  # now equals the source-side segment keys
-        self.routing.forward({"type": "DONE", "request": request}, request.src)
+        self.routing.relay({"type": "DONE", "request": request}, request.src)
 
     def _on_done(self, request, msg):
         request.advance("done")
@@ -245,9 +247,6 @@ class QKDRMP(Protocol):
     _HANDLERS = {"REQUEST": _on_request, "REJECT": _on_reject,
                  "ACCEPT": _on_accept, "CIPHERTEXT": _on_ciphertext,
                  "DONE": _on_done}
-    # relay-only message type -> the request end it travels to; every other
-    # node on the way forwards it unread
-    _RELAYED = {"REJECT": "src", "CIPHERTEXT": "dst", "DONE": "src"}
 
 
 class QKDApp(Protocol):

@@ -31,6 +31,14 @@ class ScenarioError(ValueError):
     pass
 
 
+def _setting(config, key, default, convert):
+    """`convert(config.get(key, default))`, or ScenarioError naming `key`."""
+    try:
+        return convert(config.get(key, default))
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"config key {key!r}: {exc}") from None
+
+
 def _write_csv(path, header, rows):
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
@@ -60,7 +68,7 @@ def write_manifest(out_dir, config, seed):
 
 def run_chsh(config, seed, out_dir):
     strategy = config.get("strategy", "quantum-optimal")
-    rounds = int(config.get("rounds", 100_000))
+    rounds = _setting(config, "rounds", 100_000, int)
     env = SimEnv("chsh", seed=seed)
     if strategy == "classical-optimal" and config.get("exhaustive", False):
         win_rate = classical_win_rate_exhaustive()
@@ -77,12 +85,16 @@ def run_chsh(config, seed, out_dir):
 
 # ---- BB84 over fiber -----------------------------------------------------
 
-def _two_qkd_nodes(env, distance_km, source_cfg, detector_cfg):
+def _two_qkd_nodes(env, distance_km, config):
     network = Network("bb84net", env=env)
     alice = Node("alice", env=env)
     bob = Node("bob", env=env)
-    alice.install_device(PhotonSource("alice.source", env=env, **source_cfg))
-    bob.install_device(PolarizationDetector("bob.detector", env=env, **detector_cfg))
+    alice.install_device(_setting(
+        config, "source", {"frequency": 1e6, "exact_photon_number": 1},
+        lambda kwargs: PhotonSource("alice.source", env=env, **kwargs)))
+    bob.install_device(_setting(
+        config, "detector", {"efficiency": 1.0, "dark_count_rate": 0.0},
+        lambda kwargs: PolarizationDetector("bob.detector", env=env, **kwargs)))
     network.install_node(alice)
     network.install_node(bob)
     link = Link("alice-bob", ends=(alice, bob), env=env)
@@ -97,12 +109,10 @@ def _two_qkd_nodes(env, distance_km, source_cfg, detector_cfg):
 
 
 def run_bb84(config, seed, out_dir):
-    distance = float(config.get("distance_km", 50.0))
-    pulses = int(config.get("pulses", 100_000))
-    source_cfg = config.get("source", {"frequency": 1e6, "exact_photon_number": 1})
-    detector_cfg = config.get("detector", {"efficiency": 1.0, "dark_count_rate": 0.0})
+    distance = _setting(config, "distance_km", 50.0, float)
+    pulses = _setting(config, "pulses", 100_000, int)
     env = SimEnv("bb84", seed=seed)
-    _network, alice, bob = _two_qkd_nodes(env, distance, source_cfg, detector_cfg)
+    _network, alice, bob = _two_qkd_nodes(env, distance, config)
     env.init()
     result = bb84_generate(alice, bob, pulses, rng=env.rng_for("bb84"))
     env.run()
@@ -120,24 +130,21 @@ def run_bb84(config, seed, out_dir):
 # ---- key-pool architecture -----------------------------------------------
 
 def run_keypool(config, seed, out_dir):
-    capacity = int(config.get("capacity", 40))
-    num_requests = int(config.get("num_requests", 8))
-    key_num = int(config.get("key_num", 10))
-    key_length = int(config.get("key_length", 32))
-    end_time = int(config.get("end_time_ps", 200_000_000_000))  # 0.2 s
-    keygen_rate = float(config.get("keygen_rate", 20.0))
-    n_repeaters = int(config.get("n_repeaters", 2))
+    capacity = _setting(config, "capacity", 40, int)
+    num_requests = _setting(config, "num_requests", 8, int)
+    key_num = _setting(config, "key_num", 10, int)
+    key_length = _setting(config, "key_length", 32, int)
+    end_time = _setting(config, "end_time_ps", 200_000_000_000, int)  # 0.2 s
+    keygen_rate = _setting(config, "keygen_rate", 20.0,  # float with an interval >= 1 ps
+                           lambda rate: keygen_interval_ps(float(rate)) and float(rate))
+    n_repeaters = _setting(config, "n_repeaters", 2, int)
     if n_repeaters < 0:
         raise ScenarioError(f"n_repeaters must not be negative, got {n_repeaters}")
     extra = _extra_endnodes(config.get("extra_endnodes", [["C", 0], ["D", 1]]),
                             n_repeaters)
-    distance = float(config.get("distance_km", 1.0))
+    distance = _setting(config, "distance_km", 1.0, float)
     if capacity <= 0:
         raise ScenarioError(f"capacity must be positive, got {capacity}")
-    try:
-        keygen_interval_ps(keygen_rate)
-    except ValueError as exc:
-        raise ScenarioError(str(exc)) from None
 
     env = SimEnv("keypool", seed=seed)
     network, endnodes = build_chain_network(env, n_repeaters=n_repeaters,
@@ -201,15 +208,17 @@ def _extra_endnodes(entries, n_repeaters):
 # ---- satellite pass ------------------------------------------------------
 
 def run_satellite(config, seed, out_dir):
-    window = tuple(config.get("window_ps", [0, 300_000_000_000]))  # 0.3 s
-    min_km = float(config.get("min_km", 500.0))
-    max_km = float(config.get("max_km", 1400.0))
-    loss_table = [tuple(row) for row in config.get(
-        "loss_table", [[500.0, 13.0], [800.0, 15.5], [1100.0, 18.0],
-                       [1400.0, 20.5]])]
-    bins = int(config.get("bins", 41))
-    pulses_per_bin = int(config.get("pulses_per_bin", 200_000))
-    efficiency = float(config.get("efficiency", 0.5))
+    window = _setting(config, "window_ps", [0, 300_000_000_000], tuple)  # 0.3 s
+    min_km = _setting(config, "min_km", 500.0, float)
+    max_km = _setting(config, "max_km", 1400.0, float)
+    loss_table = _setting(config, "loss_table",
+                          [[500.0, 13.0], [800.0, 15.5], [1100.0, 18.0], [1400.0, 20.5]],
+                          lambda rows: [tuple(row) for row in rows])
+    bins = _setting(config, "bins", 41, int)
+    if bins < 2:  # the distance/sifted correlation needs two points
+        raise ScenarioError(f"bins must be at least 2, got {bins}")
+    pulses_per_bin = _setting(config, "pulses_per_bin", 200_000, int)
+    efficiency = _setting(config, "efficiency", 0.5, float)
 
     env = SimEnv("satellite", seed=seed)
     mobility = Mobility(triangular_trajectory(window[0], window[1],

@@ -406,12 +406,17 @@ def random_dynamic_circuit(rng, width):
     return circ
 
 
+def test_sure_branch_probability_does_not_exceed_one():
+    # its sure measurement once read p1 = 1 + 4e-16 from rounding
+    probs = branch_probabilities(random_dynamic_circuit(np.random.default_rng(5683867), 5))
+    assert max(probs.values()) <= 1.0
+
+
 def tvd_bound(probs, shots, delta=1e-9):
     """TVD that `shots` samples of `probs` exceed with probability < delta:
     E[TVD] <= sum_k sqrt(p_k (1 - p_k) / n) / 2 by Jensen, and McDiarmid
-    adds sqrt(ln(1/delta) / 2n) since one sample moves TVD by <= 1/n.  A
-    sure branch may read 1 + 1e-16, hence the clamp."""
-    mean = 0.5 * sum(math.sqrt(max(p * (1 - p), 0.0) / shots) for p in probs.values())
+    adds sqrt(ln(1/delta) / 2n) since one sample moves TVD by <= 1/n."""
+    mean = 0.5 * sum(math.sqrt(p * (1 - p) / shots) for p in probs.values())
     return mean + math.sqrt(math.log(1 / delta) / (2 * shots))
 
 

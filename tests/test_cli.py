@@ -127,11 +127,29 @@ def test_run_unknown_log_level_exits_2(tmp_path, capsys):
     ({"extra_endnodes": [["C"]]}, "extra_endnodes"),
     ({"extra_endnodes": [[0, 1]]}, "extra_endnodes"),
     ({"n_repeaters": -1}, "n_repeaters"),
+    ({"n_repeaters": "two"}, "n_repeaters"),
+    ({"keygen_rate": "fast"}, "keygen_rate"),
 ])
 def test_run_bad_keypool_config_exits_2_naming_the_key(tmp_path, capsys, bad, named):
     cfg = _write_config(tmp_path, {"scenario": "keypool", "seed": 3, **bad})
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")  # a bad value fails before numpy can warn
+@pytest.mark.parametrize("config,named", [
+    ({"scenario": "chsh", "rounds": "many"}, "rounds"),
+    ({"scenario": "bb84", "pulses": 100, "source": {"bogus": 1}}, "source"),
+    ({"scenario": "bb84", "pulses": 100, "detector": 5}, "detector"),
+    ({"scenario": "satellite", "bins": 0}, "bins"),
+    ({"scenario": "satellite", "bins": 1}, "bins"),
+    ({"scenario": "satellite", "window_ps": 5}, "window_ps"),
+])
+def test_run_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, config, named):
+    cfg = _write_config(tmp_path, {"seed": 3, **config})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "o" / "results.csv").exists()
 
 
 @pytest.mark.parametrize("config", [

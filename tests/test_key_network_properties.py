@@ -3,20 +3,23 @@
 Every pool conserves keys (generated - delivered == current volume), in
 memory and in `pools.csv`; every finished request holds the same keys at
 both ends, leaves no reservation behind in any pool and completes no
-earlier than a request's round trip over its path allows; and a (config,
-seed) pair writes the same bytes when it is run again.
+earlier than a request's round trip over its path allows; a (config,
+seed) pair writes the same bytes when it is run again; and the
+relay-only messages (REJECT, CIPHERTEXT, DONE) are handled only at the
+request end they travel to, arriving from a neighbour of that end.
 """
 
 import csv
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
 from qnetsim import scenarios
-from qnetsim.netmodel.channel import classical_delay_ps
-from qnetsim.protocols.qkd_network import KeyDistributionNetwork
+from qnetsim.netmodel.channel import ClassicalFiberChannel, classical_delay_ps
+from qnetsim.protocols.qkd_network import QKDRMP, KeyDistributionNetwork
 
 OUTPUTS = ("results.csv", "pools.csv", "trace.log")
 
@@ -76,3 +79,36 @@ def test_pools_conserve_keys_and_requests_agree(config, seed):
         _run(config, seed, second)
         for name in OUTPUTS:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+# the request end that reads each relay-only message type
+RELAY_ENDS = {"REJECT": "src", "CIPHERTEXT": "dst", "DONE": "src"}
+
+
+@settings(max_examples=25, deadline=None)
+@given(chains(), st.integers(1, 70), st.integers(0, 2**32 - 1))
+def test_relay_only_messages_are_handled_only_at_their_end(config, key_num, seed):
+    # key_num beyond a pool's capacity gets the request rejected
+    handled = []
+    handle_classical = QKDRMP.handle_classical
+
+    def recording(rmp, msg, src):
+        handled.append((rmp.node, msg, src))
+        handle_classical(rmp, msg, src)
+
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(QKDRMP, "handle_classical", recording):
+        kdn, requests = _run({**config, "key_num": key_num}, seed, Path(tmp))
+    seen = Counter()
+    for node, msg, src in handled:
+        request, kind = msg["request"], msg["type"]
+        if kind in RELAY_ENDS:
+            assert node.name == getattr(request, RELAY_ENDS[kind])
+            kdn.network.channel_between(src, node, ClassicalFiberChannel)  # a neighbour
+            seen[request.id, kind] += 1
+    for request in requests:
+        if request.state == "rejected":
+            assert seen[request.id, "REJECT"] == 1
+        if request.state == "done":
+            assert seen[request.id, "DONE"] == 1
+            assert seen[request.id, "CIPHERTEXT"] == len(request.path) - 2

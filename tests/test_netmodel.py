@@ -305,6 +305,34 @@ def test_channel_toward_follows_routes_computed_again(env):
     assert net.channel_toward(a, "C") is a_to_c
 
 
+def test_path_toward_follows_routes_computed_again(env):
+    net = Network("n", env=env)
+    a, b, c = (Node(name, env=env) for name in "ABC")
+    for node in (a, b, c):
+        net.install_node(node)
+
+    def connect(s, r, km):
+        link = Link(f"{s.name}-{r.name}", ends=(s, r), env=env)
+        net.install_link(link)
+        channel = ClassicalFiberChannel(f"c:{s.name}->{r.name}", s, r, km, env=env)
+        link.install_channel(channel)
+        return channel
+
+    connect(a, b, 1.0)
+    b_to_c = connect(b, c, 2.0)
+    env.init()
+    for _ in range(2):  # the second round is served from the memo
+        assert net.path_toward(a, "C") == (15_000_000, b_to_c)
+        assert net.path_toward(b, "C") == (10_000_000, b_to_c)  # memoised on the way
+    for src, dst in ((c, "A"), (a, "A")):
+        with pytest.raises(LookupError, match="no classical path"):
+            net.path_toward(src, dst)
+    a_to_c = connect(a, c, 4.0)
+    assert net.path_toward(a, "C") == (15_000_000, b_to_c)  # routes not yet recomputed
+    net.compute_routes()
+    assert net.path_toward(a, "C") == (20_000_000, a_to_c)
+
+
 # ---- topology documents ---------------------------------------------------
 
 TOPOLOGY = {

@@ -448,6 +448,37 @@ def test_oversized_request_is_rejected():
     assert req.state == "rejected"
 
 
+def test_relay_only_messages_are_one_event_at_their_end(monkeypatch):
+    from qnetsim.protocols.qkd_network import QKDRMP
+
+    handled = []
+    handle_classical = QKDRMP.handle_classical
+    monkeypatch.setattr(QKDRMP, "handle_classical", lambda rmp, msg, src: handled.append(
+        (rmp.node.name, msg["type"], src.name)) or handle_classical(rmp, msg, src))
+    env = SimEnv("kdn", seed=0)
+    network, endnodes = build_chain_network(env, n_repeaters=4, distance_km=1.0)
+    kdn = KeyDistributionNetwork(network, endnodes, pool_capacity=40, keygen_rate=100.0)
+    env.init()
+    kdn.start()  # pools start full, so every repeater serves on ACCEPT
+    request = KeyRequest(id=0, src="A", dst="B", key_num=10)
+    kdn.issue_request(request)
+    env.run(end_time=10**9)
+    for repeater in ("R1", "R2", "R3", "R4"):
+        assert [(node, kind) for node, kind, _ in handled if node == repeater] == [
+            (repeater, "REQUEST"), (repeater, "ACCEPT")]
+        assert sum(line[3] == f"{repeater}.receive_classical_msg"
+                   for line in env.trace) == 2
+    # each arrives from the last hop of its path
+    assert sorted(entry for entry in handled if entry[1] == "CIPHERTEXT") == [
+        ("B", "CIPHERTEXT", "R4")] * 4
+    assert [entry for entry in handled if entry[1] == "DONE"] == [("A", "DONE", "R1")]
+    assert sorted(request.ciphertexts) == ["R1", "R2", "R3", "R4"]
+    # REQUEST and ACCEPT take 5 hops each, R1's ciphertext 4 and DONE 5, at
+    # 5 us a hop: the time that hop-by-hop forwarding gave
+    assert request.state == "done" and request.completed_ps == 90_000_000
+    assert request.src_keys == request.dst_keys
+
+
 # ---- the keygen clock and block-drawn pool keys --------------------------
 
 def _keygen_network(distance_km=1.0, keygen_rate=1000.0, capacity=10, **chain):
