@@ -25,6 +25,14 @@ def survival_probability(loss_db: float) -> float:
     return 10.0 ** (-loss_db / 10.0)
 
 
+def loss_interpolator(table):
+    """(distance km -> loss dB), linear in a [(distance km, loss dB), ...]
+    table whose arrays are built once."""
+    distances = np.array([d for d, _ in table], dtype=float)
+    losses = np.array([l for _, l in table], dtype=float)
+    return lambda distance_km: float(np.interp(distance_km, distances, losses))
+
+
 class Channel(Entity):
     def __init__(self, name, sender=None, receiver=None, distance_km=0.0, env=None):
         super().__init__(name, env)
@@ -44,13 +52,12 @@ class Channel(Entity):
 
 
 class ClassicalFiberChannel(Channel):
-    def transmit(self, msg, src=None, priority=0):
+    def transmit(self, msg, src=None):
         """Schedule delivery at now + propagation delay (FIFO)."""
         self._check_attached(src if src is not None else self.sender)
         env = self.env
         env.schedule(Event(env.now + self.delay_ps, self.receiver,
-                           "receive_classical_msg", (msg, self.sender), None,
-                           priority))
+                           "receive_classical_msg", (msg, self.sender)))
 
 
 class QuantumFiberChannel(Channel):
@@ -84,12 +91,7 @@ class FreeSpaceChannel(Channel):
 
     def __init__(self, name, sender=None, receiver=None, loss_table=None, env=None):
         super().__init__(name, sender, receiver, 0.0, env)
-        table = loss_table or [(0.0, 0.0), (1000.0, 30.0)]
-        self._distances = np.array([d for d, _ in table], dtype=float)
-        self._losses = np.array([l for _, l in table], dtype=float)
-
-    def loss_db(self, distance_km: float) -> float:
-        return float(np.interp(distance_km, self._distances, self._losses))
+        self.loss_db = loss_interpolator(loss_table or [(0.0, 0.0), (1000.0, 30.0)])
 
     def survival_probability(self, distance_km: float) -> float:
         return survival_probability(self.loss_db(distance_km))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .channel import loss_interpolator
+
 
 def triangular_trajectory(t0_ps, t1_ps, min_distance_km, max_distance_km):
     """Symmetric pass: distance falls linearly to the closest approach at
@@ -27,6 +29,7 @@ class Mobility:
         self.trajectory = trajectory
         self.window = tuple(window)  # (t0_ps, t1_ps)
         self.loss_table = list(loss_table)  # [(distance_km, loss_db), ...]
+        self.loss_db = loss_interpolator(self.loss_table)
 
     def in_window(self, t_ps) -> bool:
         t0, t1 = self.window
@@ -34,12 +37,6 @@ class Mobility:
 
     def distance_km(self, t_ps) -> float:
         return float(self.trajectory(t_ps))
-
-    def loss_db(self, distance_km) -> float:
-        import numpy as np
-        ds = np.array([d for d, _ in self.loss_table], dtype=float)
-        ls = np.array([l for _, l in self.loss_table], dtype=float)
-        return float(np.interp(distance_km, ds, ls))
 
     def satellite_pass(self, t_ps):
         """(distance km, loss dB) at time t, or None outside the window."""

@@ -1,14 +1,16 @@
 """Network, nodes and links.
 
-A Network owns nodes and links and computes static shortest-path
-(minimum hop) routing tables at initialization, separately for the
-classical and quantum channel graphs.  Equal-length alternatives are
-broken toward the lexicographically smallest next hop.
+A Network owns nodes and links and computes one static shortest-path
+(minimum hop) routing table over its classical channels at
+initialization.  Equal-length alternatives are broken toward the
+lexicographically smallest next hop.  Hop-by-hop messages go to a
+neighbour that the sender names (a key request's hop map is this table's
+`route`); `path_toward` gives the delay and last channel of a whole path.
 
 Node lookups by name go through a dict, and channel lookups are
 memoised per (sender, receiver, kind): nodes, links and channels are
-only ever added, so a channel once found stays the answer.  The first
-channel and the whole path toward a destination last until routes change.
+only ever added, so a channel once found stays the answer.  A path
+toward a destination lasts until routes change.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..des import Entity
-from .channel import Channel, ClassicalFiberChannel, QuantumFiberChannel
+from .channel import Channel, ClassicalFiberChannel
 
 
 class Node(Entity):
@@ -81,10 +83,8 @@ class Network(Entity):
         self.links = []
         self._by_name = {}  # node name -> node
         self._channels = {}  # (sender, receiver, kind) -> channel, filled on lookup
-        self._toward = {}  # (sender, destination name) -> first classical channel
         self._paths = {}  # (sender, destination name) -> (path delay ps, last channel)
         self.classical_routes = {}
-        self.quantum_routes = {}
 
     def install_node(self, node: Node):
         if node.name in self._by_name:
@@ -144,49 +144,32 @@ class Network(Entity):
                     hop[u] = v  # lexicographic tie-break
         return hop
 
-    def _routes(self, kind):
+    def compute_routes(self):
         reverse = {n.name: set() for n in self.nodes}  # receiver -> senders
         for link in self.links:
             for ch in link.channels:
-                if isinstance(ch, kind):
+                if isinstance(ch, ClassicalFiberChannel):
                     reverse[ch.receiver.name].add(ch.sender.name)
         routes = {}
         for dst in reverse:
             for src, hop in self._next_hops_to(reverse, dst).items():
                 routes[(src, dst)] = hop
-        return routes
-
-    def compute_routes(self):
-        self.classical_routes = self._routes(ClassicalFiberChannel)
-        self.quantum_routes = self._routes(QuantumFiberChannel)
-        self._toward.clear()
+        self.classical_routes = routes
         self._paths.clear()
 
-    def next_hop(self, src, dst, quantum=False) -> str | None:
-        table = self.quantum_routes if quantum else self.classical_routes
-        return table.get((src, dst))
-
-    def channel_toward(self, src, dst) -> ClassicalFiberChannel | None:
-        """The classical channel from node `src` to its next hop toward the
-        node named `dst`, or None when `dst` is unreachable."""
-        key = (src, dst)
-        channel = self._toward.get(key)
-        if channel is None:
-            hop = self.next_hop(src.name, dst)
-            if hop is None:
-                return None
-            channel = self._toward[key] = self.channel_between(
-                src, self._by_name[hop], ClassicalFiberChannel)
-        return channel
+    def next_hop(self, src, dst) -> str | None:
+        return self.classical_routes.get((src, dst))
 
     def path_toward(self, src, dst) -> tuple:
         """(delay ps, last channel) of the classical path that hop-by-hop
         forwarding takes from node `src` to the node named `dst`."""
         hops, node = [], src  # walk to dst or to a node whose rest is known
         while (node, dst) not in self._paths and (not hops or node.name != dst):
-            hops.append(self.channel_toward(node, dst))
-            if hops[-1] is None:  # dst is unreachable or src itself
+            hop = self.next_hop(node.name, dst)
+            if hop is None:  # dst is unreachable or src itself
                 raise LookupError(f"no classical path from {src.name!r} to {dst!r}")
+            hops.append(self.channel_between(node, self._by_name[hop],
+                                             ClassicalFiberChannel))
             node = hops[-1].receiver
         delay, last = self._paths.get((node, dst)) or (0, hops[-1])
         for channel in reversed(hops):
@@ -194,14 +177,14 @@ class Network(Entity):
             self._paths[channel.sender, dst] = (delay, last)
         return self._paths[src, dst]
 
-    def route(self, src, dst, quantum=False):
+    def route(self, src, dst):
         """Full node-name path src..dst, or None when unreachable."""
         if src == dst:
             return [src]
         path = [src]
         cur = src
         while cur != dst:
-            nxt = self.next_hop(cur, dst, quantum)
+            nxt = self.next_hop(cur, dst)
             if nxt is None:
                 return None
             path.append(nxt)

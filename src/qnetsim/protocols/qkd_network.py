@@ -12,8 +12,9 @@ destination, which unwinds the chain of ciphertexts to recover the
 sender-side key.
 
 Request lifecycle: the source issues a request toward the destination;
-repeaters forward it (or reject it when it can never be satisfied); the
-destination returns an acceptance; repeaters process or queue the
+repeaters forward it, and any node that receives it rejects it when a
+pool it takes from can never hold enough keys; the destination returns
+an acceptance; repeaters process or queue the
 request depending on their pools; ciphertexts flow to the destination,
 which combines everything into the end-to-end key and propagates a done
 message back to the source.
@@ -21,7 +22,8 @@ message back to the source.
 The source routes a request once into its hop map, `request.hops` =
 {node: (upstream, downstream)} with None beyond either end, from which
 each node learns the pools that serve it (an endpoint's is on the side
-that is not None).  ACCEPT retraces the path hop by hop, so its
+that is not None).  REQUEST goes hop by hop to each entry's downstream
+neighbour, and ACCEPT retraces the path to each upstream one, so its
 repeaters see it even where the route back to the source differs.
 REJECT, CIPHERTEXT and DONE are relay-only: each is one event at the end
 that reads it, due when hop-by-hop forwarding would bring it there.
@@ -116,12 +118,12 @@ class KeyClock:
 class QKDRouting(Protocol):
     """Static shortest-path routing layer."""
 
-    def forward(self, msg, toward):
+    def forward(self, msg, neighbor):
+        """Send `msg` to the neighbour named `neighbor` (from the hop map)."""
         node = self.node
-        channel = node.network.channel_toward(node, toward)
-        if channel is None:
-            raise RuntimeError(f"no route from {node.name!r} to {toward!r}")
-        channel.transmit(msg, node)
+        network = node.network
+        network.channel_between(node, network.node(neighbor),
+                                ClassicalFiberChannel).transmit(msg, node)
 
     def relay(self, msg, end):
         """Send `msg`, which only the node named `end` reads, as one event
@@ -144,6 +146,9 @@ class QKDRMP(Protocol):
     # --- request initiation (source side) --------------------------------
     def initiate(self, request: KeyRequest):
         request.issued_ps = self.env.now
+        if request.dst == self.node.name:
+            raise ValueError(f"request {request.id}: source and destination are both "
+                             f"{request.dst!r}")
         path = self.node.network.route(self.node.name, request.dst)
         if path is None:
             request.state = "unreachable"
@@ -151,7 +156,7 @@ class QKDRMP(Protocol):
         request.path = path
         request.hops = {name: (up, down) for up, name, down
                         in zip([None, *path], path, [*path[1:], None])}
-        self.routing.forward({"type": "REQUEST", "request": request}, request.dst)
+        self.routing.forward({"type": "REQUEST", "request": request}, path[1])
 
     # --- message handling ------------------------------------------------
     def handle_classical(self, msg, src):
@@ -159,15 +164,16 @@ class QKDRMP(Protocol):
 
     def _on_request(self, request, msg):
         up, down = request.hops[self.node.name]
-        if down is None:  # destination
+        if any(request.key_num > self.pools[n].v_max
+               for n in (up, down) if n is not None):
+            # fail fast: a pool this node takes from can never hold enough keys
+            self.routing.relay({"type": "REJECT", "request": request}, request.src)
+        elif down is None:  # destination
             request.advance("accepted")
             self.routing.forward({"type": "ACCEPT", "request": request}, up)
             self._take_or_wait(request)
-        elif any(request.key_num > self.pools[n].v_max for n in (up, down)):
-            # fail fast: an on-path pool can never hold enough keys
-            self.routing.relay({"type": "REJECT", "request": request}, request.src)
         else:
-            self.routing.forward(msg, request.dst)
+            self.routing.forward(msg, down)
 
     def _on_reject(self, request, msg):
         request.state = "rejected"

@@ -247,7 +247,9 @@ def run_satellite(config, seed, out_dir):
     _write_csv(Path(out_dir) / "results.csv",
                ["time_ps", "distance_km", "loss_db", "clicks", "sifted"], rows)
     _write_trace(env, Path(out_dir) / "trace.log")
-    corr = float(np.corrcoef(distances, sifted_counts)[0, 1])
+    # a constant series (e.g. bins = 2, efficiency = 0) has no correlation
+    corr = (float(np.corrcoef(distances, sifted_counts)[0, 1])
+            if len(set(distances)) > 1 and len(set(sifted_counts)) > 1 else None)
     return {"primary": int(np.sum(sifted_counts)),
             "total_sifted": int(np.sum(sifted_counts)),
             "distance_sifted_correlation": corr,

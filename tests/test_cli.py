@@ -182,6 +182,28 @@ def test_run_keypool_accepts_every_documented_key(tmp_path):
                  "--out-dir", str(tmp_path / "o")]) == 0
 
 
+def test_run_keypool_without_repeaters_rejects_requests_no_pool_can_hold(tmp_path):
+    cfg = _write_config(tmp_path, {"scenario": "keypool", "seed": 3, "n_repeaters": 0,
+                                   "extra_endnodes": [], "key_num": 14, "capacity": 6})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+    rows = _csv_rows(tmp_path / "o" / "results.csv")
+    assert len(rows) > 1
+    assert all(row[-1] == "rejected" for row in rows[1:])
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("config", [
+    {"scenario": "satellite", "bins": 2, "pulses_per_bin": 1000},
+    {"scenario": "satellite", "bins": 5, "pulses_per_bin": 1000, "efficiency": 0},
+])
+def test_run_satellite_constant_series_has_no_correlation(tmp_path, capsys, config):
+    cfg = _write_config(tmp_path, {"seed": 3, **config})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    assert "distance_sifted_correlation" not in printed
+    assert "total_sifted" in printed
+
+
 @pytest.mark.parametrize("config", [
     {"scenario": "chsh", "strategy": "classical-optimal", "rounds": 100,
      "exhaustive": True},

@@ -87,6 +87,15 @@ def test_free_space_loss_interpolation(env):
     assert ch.survival_probability(100) == pytest.approx(0.1)
 
 
+def test_free_space_and_mobility_losses_agree(env):
+    table = [(500.0, 13.0), (800.0, 15.5), (1100.0, 18.0), (1400.0, 20.5)]
+    ch = FreeSpaceChannel("f", Node("a", env), Node("b", env), loss_table=table,
+                          env=env)
+    mob = Mobility(triangular_trajectory(0, 100, 500, 1400), (0, 100), table)
+    for distance in np.linspace(0.0, 2000.0, 401):
+        assert mob.loss_db(distance) == ch.loss_db(distance)
+
+
 # ---- devices --------------------------------------------------------------
 
 def test_photon_source_poisson_statistics(env):
@@ -228,7 +237,6 @@ def test_routes_match_brute_force_bfs(graph):
                 expected[(src, dst)] = min(v for v in adj[src]
                                            if hops[v].get(dst) == d - 1)
     assert net.classical_routes == expected
-    assert net.quantum_routes == {}
 
 
 # ---- lookups --------------------------------------------------------------
@@ -280,31 +288,6 @@ def test_channel_between_missing_raises_and_is_not_cached(env):
         net.channel_between(a, c, ClassicalFiberChannel)
 
 
-def test_channel_toward_follows_routes_computed_again(env):
-    net = Network("n", env=env)
-    a, b, c = (Node(name, env=env) for name in "ABC")
-    for node in (a, b, c):
-        net.install_node(node)
-
-    def connect(s, r):
-        link = Link(f"{s.name}-{r.name}", ends=(s, r), env=env)
-        net.install_link(link)
-        channel = ClassicalFiberChannel(f"c:{s.name}->{r.name}", s, r, 1.0, env=env)
-        link.install_channel(channel)
-        return channel
-
-    a_to_b = connect(a, b)
-    connect(b, c)
-    env.init()
-    for _ in range(2):  # the second round is served from the memo
-        assert net.channel_toward(a, "C") is a_to_b
-    assert net.channel_toward(c, "A") is None
-    a_to_c = connect(a, c)
-    assert net.channel_toward(a, "C") is a_to_b  # routes not yet recomputed
-    net.compute_routes()
-    assert net.channel_toward(a, "C") is a_to_c
-
-
 def test_path_toward_follows_routes_computed_again(env):
     net = Network("n", env=env)
     a, b, c = (Node(name, env=env) for name in "ABC")
@@ -331,6 +314,42 @@ def test_path_toward_follows_routes_computed_again(env):
     assert net.path_toward(a, "C") == (15_000_000, b_to_c)  # routes not yet recomputed
     net.compute_routes()
     assert net.path_toward(a, "C") == (20_000_000, a_to_c)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                    .filter(lambda e: e[0] != e[1]),
+                    st.floats(0.0, 50.0), max_size=3 * n),
+    st.permutations([(s, d) for s in range(n) for d in range(n)]))))
+def test_path_toward_sums_the_route_delays_in_any_query_order(graph):
+    """Directed random graphs with random lengths: the path of every pair,
+    queried in any order, is (the sum of the channel delays along `route`,
+    the channel into dst); dst unreachable or src itself raises."""
+    n, arcs, order = graph
+    env = SimEnv("paths")
+    net = Network("n", env=env)
+    nodes = [Node(f"n{i}", env=env) for i in range(n)]
+    for node in nodes:
+        net.install_node(node)
+    for i, ((a, b), km) in enumerate(arcs.items()):
+        link = Link(f"l{i}", ends=(nodes[a], nodes[b]), env=env)
+        net.install_link(link)
+        link.install_channel(ClassicalFiberChannel(
+            f"c{i}", nodes[a], nodes[b], km, env=env))
+    env.init()
+    for s, d in order:
+        src, dst = nodes[s], nodes[d].name
+        path = net.route(src.name, dst)
+        if path is None or s == d:
+            with pytest.raises(LookupError, match="no classical path"):
+                net.path_toward(src, dst)
+            continue
+        channels = [net.channel_between(net.node(u), net.node(v), ClassicalFiberChannel)
+                    for u, v in zip(path, path[1:])]
+        assert net.path_toward(src, dst) == (sum(c.delay_ps for c in channels),
+                                             channels[-1])
 
 
 # ---- topology documents ---------------------------------------------------

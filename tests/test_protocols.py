@@ -408,6 +408,15 @@ def test_request_hops_map_each_path_node_to_its_neighbours():
     assert along.state == branch.state == "done"
 
 
+def test_request_to_its_own_source_is_refused():
+    env = SimEnv("kdn", seed=0)
+    network, endnodes = build_chain_network(env, n_repeaters=1)
+    kdn = KeyDistributionNetwork(network, endnodes)
+    env.init()
+    with pytest.raises(ValueError, match="source and destination are both 'A'"):
+        kdn.issue_request(KeyRequest(id=0, src="A", dst="A"))
+
+
 def test_accept_retraces_the_path_where_the_route_back_differs():
     # a six-cycle: A->B runs A-P-Z-B, but the route back runs B-C-Q-A
     env = SimEnv("kdn", seed=0)
