@@ -16,14 +16,14 @@ class Ping(Entity):
 
     def _init(self):
         if self.peer_name is not None:
-            self.scheduler.schedule_after(1_000, self, "send", 0)
+            self.env.schedule_after(1_000, self, "send", 0)
 
     def send(self, hop):
         if hop >= 6:
             return
         jitter = int(self.rng.integers(1_000, 10_000))
         print(f"t={self.env.now:>6} ps  {self.name} -> {self.peer.name} (hop {hop})")
-        self.scheduler.schedule_after(jitter, self.peer, "send", hop + 1)
+        self.env.schedule_after(jitter, self.peer, "send", hop + 1)
 
 
 def main():

@@ -20,7 +20,7 @@ import numpy as np
 from .compiler.compile import (CompileError, compile_protocol,
                                defer_measurements)
 from .compiler.script import load_script
-from .scenarios import ScenarioError, run_scenario
+from .scenarios import ScenarioError, resolve, run_scenario
 
 _TIME_UNITS_PS = {"s": 10**12, "ms": 10**9, "us": 10**6, "ns": 10**3, "ps": 1}
 
@@ -45,11 +45,11 @@ def parse_time_ps(text) -> int:
 
 
 def _load_config(path):
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"config file not found: {path}")
     with open(path) as f:
-        return json.load(f)
+        config = json.load(f)
+    if not isinstance(config, dict):
+        raise ValueError(f"config must be a JSON object, got {config!r}")
+    return config
 
 
 def _apply_overrides(config, args):
@@ -68,7 +68,7 @@ def cmd_run(args) -> int:
         config = _apply_overrides(_load_config(args.config), args)
         seed = int(config.get("seed", 0))
         out_dir = Path(args.out_dir)
-    except (OSError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -111,19 +111,15 @@ def cmd_compile(args) -> int:
 
 
 def _set_by_path(config, dotted, value):
-    keys = dotted.split(".")
+    """Set a dotted path of `config`: a nested key must exist, a top-level
+    one may be new (`resolve` checks it against the scenario's keys)."""
+    *parents, last = dotted.split(".")
     target = config
-    for key in keys[:-1]:
-        if key not in target:
-            raise KeyError(dotted)
-        target = target[key]
-    if keys[-1] not in target:
-        raise KeyError(dotted)
-    target[keys[-1]] = value
-
-
-def _one_replication(config, seed, out_dir):
-    return run_scenario(config, seed, out_dir)["primary"]
+    for key in parents:
+        target = target.get(key) if isinstance(target, dict) else None
+    if not isinstance(target, dict) or (parents and last not in target):
+        raise ValueError(f"parameter path not found in config: {dotted!r}")
+    target[last] = value
 
 
 def cmd_sweep(args) -> int:
@@ -131,35 +127,36 @@ def cmd_sweep(args) -> int:
         config = _apply_overrides(_load_config(args.config), args)
         if args.replications <= 0:
             raise ValueError("replications must be a positive integer")
+        if args.jobs < 1:
+            raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         values = [float(v) for v in args.values]
         base_seed = int(config.get("seed", 0))
-        _set_by_path(copy.deepcopy(config), args.parameter, values[0])
-    except KeyError as exc:
-        print(f"error: parameter path not found in config: {exc}",
-              file=sys.stderr)
-        return 2
-    except (OSError, ValueError) as exc:
+        out_dir = Path(args.out_dir)
+        jobs = []
+        for value in values:
+            cfg = copy.deepcopy(config)
+            raw = int(value) if value.is_integer() else value
+            _set_by_path(cfg, args.parameter, raw)
+            resolve(cfg)  # a value the scenario rejects starts no run
+            jobs.extend((value, cfg, base_seed + 1000 * rep,
+                         out_dir / f"value_{raw}_rep_{rep}")
+                        for rep in range(args.replications))
+    except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    jobs = []
-    for value in values:
-        for rep in range(args.replications):
-            cfg = copy.deepcopy(config)
-            raw = int(value) if float(value).is_integer() else value
-            _set_by_path(cfg, args.parameter, raw)
-            jobs.append((value, cfg, base_seed + 1000 * rep,
-                         out_dir / f"value_{raw}_rep_{rep}"))
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as ex:
             results = list(ex.map(
-                lambda j: (j[0], _one_replication(j[1], j[2], j[3])), jobs))
+                lambda j: (j[0], run_scenario(*j[1:])["primary"]), jobs))
+    except ScenarioError as exc:  # a check across keys, made by the runner
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except Exception as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1
 
+    out_dir.mkdir(parents=True, exist_ok=True)
     by_value = {v: [] for v in values}
     for value, metric in results:
         by_value[value].append(metric)

@@ -1,6 +1,6 @@
 from .event import Event, FutureEventList
-from .env import SimEnv, SimReport, EnvState, get_default_env, set_default_env, clear_default_env
-from .entity import Entity, Scheduler
+from .env import SimEnv, SimReport, EnvState
+from .entity import Entity
 
 __all__ = [
     "Event",
@@ -9,8 +9,4 @@ __all__ = [
     "SimReport",
     "EnvState",
     "Entity",
-    "Scheduler",
-    "get_default_env",
-    "set_default_env",
-    "clear_default_env",
 ]

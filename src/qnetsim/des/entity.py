@@ -1,41 +1,21 @@
 """Entities: the main objects of the simulated system.
 
-Every entity is attached to exactly one environment and carries a
-scheduler bound to it.  `install` adds sub-components; environment
-initialization cascades `init` through the component tree exactly once.
+Every entity is attached to exactly one environment, which schedules
+its events.  `install` adds sub-components; environment initialization
+cascades `init` through the component tree exactly once.
 """
 
 from __future__ import annotations
 
-from .env import get_default_env
-from .event import Event
-
-
-class Scheduler:
-    """Event-scheduling capability bound to one environment.
-
-    Can be embedded in any object (entity or protocol) that needs to
-    schedule events.
-    """
-
-    def __init__(self, env):
-        self.env = env
-
-    def schedule_at(self, time, owner, action, *args, priority=0, **kwargs):
-        return self.env.schedule(Event(time, owner, action, args, kwargs, priority))
-
-    def schedule_after(self, delay, owner, action, *args, priority=0, **kwargs):
-        env = self.env
-        return env.schedule(Event(env.now + delay, owner, action, args, kwargs, priority))
-
 
 class Entity:
     def __init__(self, name, env=None):
+        if env is None:
+            raise RuntimeError(f"entity {name!r} needs a simulation environment")
         self.name = name
-        self.env = env if env is not None else get_default_env()
+        self.env = env
         self.components = []
         self.owner = None
-        self.scheduler = Scheduler(self.env)
         self._initialized = False
         self.env.attach(self)
 

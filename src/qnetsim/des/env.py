@@ -2,8 +2,7 @@
 
 A `SimEnv` owns the virtual timeline (integer picoseconds), the future
 event list and the master random seed.  Entities attach to an
-environment at creation; if none is passed explicitly they attach to the
-process-wide default environment.
+environment at creation.
 """
 
 from __future__ import annotations
@@ -21,25 +20,6 @@ from .event import Event, FutureEventList
 INFINITE = None  # sentinel: run until the future event list drains
 
 _LOG_LEVELS = {"DEBUG": 0, "INFO": 1, "WARN": 2}
-
-_default_env = None
-
-
-def set_default_env(env):
-    global _default_env
-    _default_env = env
-
-
-def get_default_env():
-    if _default_env is None:
-        raise RuntimeError("no default simulation environment has been set")
-    return _default_env
-
-
-def clear_default_env():
-    global _default_env
-    _default_env = None
-
 
 class EnvState(Enum):
     CREATED = "created"
@@ -61,7 +41,7 @@ class SimReport:
 class SimEnv:
     """Simulation environment with a built-in timeline."""
 
-    def __init__(self, name, default=False, seed=0):
+    def __init__(self, name, seed=0):
         self.name = name
         self.now = 0
         self.fel = FutureEventList()
@@ -73,8 +53,6 @@ class SimEnv:
         self._log_path = None
         self._log_level = "INFO"
         self._log_lines = []
-        if default:
-            set_default_env(self)
 
     # ---- random streams -------------------------------------------------
     def rng_for(self, stream_name: str) -> np.random.Generator:

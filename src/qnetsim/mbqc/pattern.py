@@ -124,10 +124,6 @@ def x_measurement(vertex):
     return MeasurementSpec(vertex, plane="XY", angle=0.0)
 
 
-def y_measurement(vertex):
-    return MeasurementSpec(vertex, plane="XY", angle=np.pi / 2)
-
-
 def z_measurement(vertex):
     return MeasurementSpec(vertex, plane="XZ", angle=0.0)
 

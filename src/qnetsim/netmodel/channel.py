@@ -26,10 +26,13 @@ def survival_probability(loss_db: float) -> float:
 
 
 def loss_interpolator(table):
-    """(distance km -> loss dB), linear in a [(distance km, loss dB), ...]
-    table whose arrays are built once."""
+    """(distance km -> loss dB), linear in a non-empty [(distance km, loss dB),
+    ...] table whose distances increase strictly; its arrays are built once."""
     distances = np.array([d for d, _ in table], dtype=float)
     losses = np.array([l for _, l in table], dtype=float)
+    if not (len(distances) and np.all(np.diff(distances) > 0)):
+        raise ValueError("a loss table needs rows with increasing distances, "
+                         f"got {table!r}")
     return lambda distance_km: float(np.interp(distance_km, distances, losses))
 
 

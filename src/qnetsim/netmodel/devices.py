@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+import numbers
+
 import numpy as np
 
 from ..des import Entity
@@ -18,8 +21,16 @@ class PhotonSource(Entity):
     def __init__(self, name, frequency=1e6, wavelength=850.0,
                  mean_photon_num=0.1, exact_photon_number=None, env=None):
         super().__init__(name, env)
-        if mean_photon_num < 0:
-            raise ValueError("mean photon number must be non-negative")
+        if not 0 < frequency < math.inf:
+            raise ValueError(f"frequency must be finite and positive, got {frequency!r}")
+        if not 0 <= mean_photon_num < math.inf:
+            raise ValueError("mean photon number must be finite and non-negative, "
+                             f"got {mean_photon_num!r}")
+        if exact_photon_number is not None and not (
+                isinstance(exact_photon_number, numbers.Integral)
+                and not isinstance(exact_photon_number, bool) and exact_photon_number >= 0):
+            raise ValueError("exact photon number must be None or a non-negative int, "
+                             f"got {exact_photon_number!r}")
         self.frequency = frequency  # pulses per second
         self.wavelength = wavelength  # nm
         self.mean_photon_num = mean_photon_num
@@ -44,6 +55,9 @@ class PolarizationDetector(Entity):
         super().__init__(name, env)
         if not 0.0 <= efficiency <= 1.0:
             raise ValueError("efficiency must lie in [0, 1]")
+        if not 0 <= dark_count_rate < math.inf:
+            raise ValueError("dark count rate must be finite and non-negative, "
+                             f"got {dark_count_rate!r}")
         self.efficiency = efficiency
         self.dark_count_rate = dark_count_rate  # counts per second
         self.basis = basis

@@ -132,9 +132,9 @@ class _TeleportDriver(Entity):
         bob.receive_classical_msg = lambda msg, src: self.bob_receives_bits(msg)
 
     def _init(self):
-        self.scheduler.schedule_after(0, self, "charlie_distributes")
+        self.env.schedule_after(0, self, "charlie_distributes")
         if self.timeout_ps is not None:
-            self.scheduler.schedule_after(self.timeout_ps, self, "check_timeout")
+            self.env.schedule_after(self.timeout_ps, self, "check_timeout")
 
     def charlie_distributes(self):
         q_a, q_b = bell_pair(self.manager)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ import numpy as np
 from . import __version__
 from .des import SimEnv
 from .netmodel.channel import (ClassicalFiberChannel, QuantumFiberChannel,
-                               survival_probability)
+                               loss_interpolator, survival_probability)
 from .netmodel.devices import PhotonSource, PolarizationDetector
 from .netmodel.mobility import Mobility, triangular_trajectory
 from .netmodel.network import Link, Network, Node
@@ -31,15 +33,55 @@ class ScenarioError(ValueError):
     pass
 
 
-def _setting(config, key, default, convert):
-    """`convert(config.get(key, default))`, or ScenarioError naming `key`."""
-    try:
-        return convert(config.get(key, default))
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"config key {key!r}: {exc}") from None
+def _number(low=-math.inf, high=math.inf, whole=False):
+    """Converter to a finite number in [low, high], an int if `whole`
+    (4e11 passes, 2.5 and True fail)."""
+    def convert(value):
+        if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+                and (isinstance(value, numbers.Integral) or math.isfinite(value))
+                and low <= value <= high and not (whole and value != int(value))):
+            return int(value) if whole else float(value)
+        raise ValueError(f"must be {'a whole' if whole else 'a finite'} number "
+                         f"in [{low}, {high}], got {value!r}")
+    return convert
+
+
+def _choice(*options):
+    """Converter that passes one of `options`, type included (1 is not True)."""
+    def convert(value):
+        if any(type(value) is type(option) and value == option for option in options):
+            return value
+        raise ValueError(f"must be one of {list(options)}, got {value!r}")
+    return convert
+
+
+def _window(value):
+    """An ordered [start, end] window of whole ps, <= 2**53 (exact floats)."""
+    start, end = map(_number(0, 2**53, whole=True), value)
+    if not start < end:
+        raise ValueError(f"start must precede end, got {value!r}")
+    return start, end
+
+
+def _loss_table(rows):
+    """A [[distance km, loss dB], ...] table of numbers >= 0 that
+    `loss_interpolator` accepts."""
+    table = [tuple(map(_number(0), row)) for row in rows]
+    loss_interpolator(table)
+    return table
+
+
+def _device(cls):
+    """Converter to keyword arguments that `cls`'s constructor accepts."""
+    def convert(kwargs):
+        cls(cls.__name__, env=SimEnv("check"), **kwargs)
+        return kwargs
+    return convert
 
 
 def _write_csv(path, header, rows):
+    # made by the first write, so a run that fails before it leaves no directory
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
@@ -59,22 +101,19 @@ def write_manifest(out_dir, config, seed):
         "seed": seed,
         "qnetsim_version": __version__,
     }
-    path = Path(out_dir) / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2) + "\n")
-    return path
+    (Path(out_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 # ---- CHSH ----------------------------------------------------------------
 
-def run_chsh(config, seed, out_dir):
-    strategy = config.get("strategy", "quantum-optimal")
-    rounds = _setting(config, "rounds", 100_000, int)
+def run_chsh(settings, seed, out_dir):
+    strategy = settings["strategy"]
     env = SimEnv("chsh", seed=seed)
-    if strategy == "classical-optimal" and config.get("exhaustive", False):
+    if strategy == "classical-optimal" and settings["exhaustive"]:
         win_rate = classical_win_rate_exhaustive()
         rows = [[strategy, 4, int(win_rate * 4), win_rate]]
     else:
-        result = chsh_play(strategy, rounds, rng=env.rng_for("chsh"))
+        result = chsh_play(strategy, settings["rounds"], rng=env.rng_for("chsh"))
         win_rate = result.win_rate
         rows = [[strategy, result.rounds, result.wins, f"{win_rate:.6f}"]]
     _write_csv(Path(out_dir) / "results.csv",
@@ -85,16 +124,15 @@ def run_chsh(config, seed, out_dir):
 
 # ---- BB84 over fiber -----------------------------------------------------
 
-def _two_qkd_nodes(env, distance_km, config):
+def run_bb84(settings, seed, out_dir):
+    env = SimEnv("bb84", seed=seed)
+    distance_km = settings["distance_km"]
     network = Network("bb84net", env=env)
     alice = Node("alice", env=env)
     bob = Node("bob", env=env)
-    alice.install_device(_setting(
-        config, "source", {"frequency": 1e6, "exact_photon_number": 1},
-        lambda kwargs: PhotonSource("alice.source", env=env, **kwargs)))
-    bob.install_device(_setting(
-        config, "detector", {"efficiency": 1.0, "dark_count_rate": 0.0},
-        lambda kwargs: PolarizationDetector("bob.detector", env=env, **kwargs)))
+    alice.install_device(PhotonSource("alice.source", env=env, **settings["source"]))
+    bob.install_device(PolarizationDetector("bob.detector", env=env,
+                                            **settings["detector"]))
     network.install_node(alice)
     network.install_node(bob)
     link = Link("alice-bob", ends=(alice, bob), env=env)
@@ -105,16 +143,8 @@ def _two_qkd_nodes(env, distance_km, config):
                                                distance_km, env=env))
     link.install_channel(QuantumFiberChannel("q:a->b", alice, bob,
                                              distance_km, env=env))
-    return network, alice, bob
-
-
-def run_bb84(config, seed, out_dir):
-    distance = _setting(config, "distance_km", 50.0, float)
-    pulses = _setting(config, "pulses", 100_000, int)
-    env = SimEnv("bb84", seed=seed)
-    _network, alice, bob = _two_qkd_nodes(env, distance, config)
     env.init()
-    result = bb84_generate(alice, bob, pulses, rng=env.rng_for("bb84"))
+    result = bb84_generate(alice, bob, settings["pulses"], rng=env.rng_for("bb84"))
     env.run()
     _write_csv(Path(out_dir) / "results.csv",
                ["pulses", "detections", "detection_rate", "sifted", "qber"],
@@ -129,40 +159,26 @@ def run_bb84(config, seed, out_dir):
 
 # ---- key-pool architecture -----------------------------------------------
 
-def run_keypool(config, seed, out_dir):
-    capacity = _setting(config, "capacity", 40, int)
-    num_requests = _setting(config, "num_requests", 8, int)
-    key_num = _setting(config, "key_num", 10, int)
-    key_length = _setting(config, "key_length", 32, int)
-    end_time = _setting(config, "end_time_ps", 200_000_000_000, int)  # 0.2 s
-    keygen_rate = _setting(config, "keygen_rate", 20.0,  # float with an interval >= 1 ps
-                           lambda rate: keygen_interval_ps(float(rate)) and float(rate))
-    n_repeaters = _setting(config, "n_repeaters", 2, int)
-    if n_repeaters < 0:
-        raise ScenarioError(f"n_repeaters must not be negative, got {n_repeaters}")
-    extra = _extra_endnodes(config.get("extra_endnodes", [["C", 0], ["D", 1]]),
-                            n_repeaters)
-    distance = _setting(config, "distance_km", 1.0, float)
-    if capacity <= 0:
-        raise ScenarioError(f"capacity must be positive, got {capacity}")
-
+def run_keypool(settings, seed, out_dir):
+    end_time, key_length = settings["end_time_ps"], settings["key_length"]
+    extra = _extra_endnodes(settings["extra_endnodes"], settings["n_repeaters"])
     env = SimEnv("keypool", seed=seed)
-    network, endnodes = build_chain_network(env, n_repeaters=n_repeaters,
+    network, endnodes = build_chain_network(env, n_repeaters=settings["n_repeaters"],
                                             extra_endnodes=extra,
-                                            distance_km=distance)
-    kdn = KeyDistributionNetwork(network, endnodes, pool_capacity=capacity,
+                                            distance_km=settings["distance_km"])
+    kdn = KeyDistributionNetwork(network, endnodes, pool_capacity=settings["capacity"],
                                  key_length=key_length,
-                                 keygen_rate=keygen_rate)
+                                 keygen_rate=settings["keygen_rate"])
     env.init()
     kdn.start()
 
     workload_rng = env.rng_for("workload")
     requests = []
-    for rid in range(num_requests):
+    for rid in range(settings["num_requests"]):
         src, dst = workload_rng.choice(endnodes, size=2, replace=False)
         t = int(workload_rng.integers(0, int(end_time * 0.8)))
         request = KeyRequest(id=rid, src=str(src), dst=str(dst),
-                             key_num=key_num, key_length=key_length)
+                             key_num=settings["key_num"], key_length=key_length)
         requests.append(request)
         kdn.schedule_request(t, request)
 
@@ -191,7 +207,7 @@ def _extra_endnodes(entries, n_repeaters):
     extra = []
     for entry in entries:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2
-                and isinstance(entry[0], str) and isinstance(entry[1], int)):
+                and isinstance(entry[0], str) and type(entry[1]) is int):
             raise ScenarioError("extra_endnodes entries must be [name, repeater index] "
                                 f"pairs, got {entry!r}")
         name, index = entry
@@ -207,38 +223,23 @@ def _extra_endnodes(entries, n_repeaters):
 
 # ---- satellite pass ------------------------------------------------------
 
-def run_satellite(config, seed, out_dir):
-    window = _setting(config, "window_ps", [0, 300_000_000_000], tuple)  # 0.3 s
-    min_km = _setting(config, "min_km", 500.0, float)
-    max_km = _setting(config, "max_km", 1400.0, float)
-    loss_table = _setting(config, "loss_table",
-                          [[500.0, 13.0], [800.0, 15.5], [1100.0, 18.0], [1400.0, 20.5]],
-                          lambda rows: [tuple(row) for row in rows])
-    bins = _setting(config, "bins", 41, int)
-    if bins < 2:  # the distance/sifted correlation needs two points
-        raise ScenarioError(f"bins must be at least 2, got {bins}")
-    pulses_per_bin = _setting(config, "pulses_per_bin", 200_000, int)
-    efficiency = _setting(config, "efficiency", 0.5, float)
-
+def run_satellite(settings, seed, out_dir):
+    window = t0, t1 = settings["window_ps"]
     env = SimEnv("satellite", seed=seed)
-    mobility = Mobility(triangular_trajectory(window[0], window[1],
-                                              min_km, max_km),
-                        window, loss_table)
+    mobility = Mobility(triangular_trajectory(t0, t1, settings["min_km"],
+                                              settings["max_km"]),
+                        window, settings["loss_table"])
     rng = env.rng_for("satellite")
 
-    t0, t1 = window
-    edges = np.linspace(t0, t1, bins + 1)
+    edges = np.linspace(t0, t1, settings["bins"] + 1)
     centers = ((edges[:-1] + edges[1:]) / 2).astype(np.int64)
     rows = []
     sifted_counts = []
     distances = []
-    for t in centers:
-        link = mobility.satellite_pass(int(t))
-        if link is None:
-            continue
-        distance, loss = link
-        p_click = survival_probability(loss) * efficiency
-        clicks = rng.binomial(pulses_per_bin, p_click)
+    for t in centers:  # all inside the window, where the link is up
+        distance, loss = mobility.satellite_pass(int(t))
+        p_click = survival_probability(loss) * settings["efficiency"]
+        clicks = rng.binomial(settings["pulses_per_bin"], p_click)
         sifted = rng.binomial(clicks, 0.5)  # basis reconciliation keeps half
         rows.append([int(t), f"{distance:.3f}", f"{loss:.3f}", clicks, sifted])
         distances.append(distance)
@@ -256,32 +257,67 @@ def run_satellite(config, seed, out_dir):
             "sifted_series": sifted_counts, "distance_series": distances}
 
 
-# scenario -> (runner, the config keys it reads); "scenario", "seed" and
-# "log_level" (the CLI's overrides) are valid in every config
+# scenario -> (runner, {config key: (default, convert)}); "scenario", "seed"
+# and "log_level" (the CLI's overrides) are valid in every config
 _COMMON_KEYS = {"scenario", "seed", "log_level"}
 _SCENARIOS = {
-    "chsh": (run_chsh, {"strategy", "rounds", "exhaustive"}),
-    "bb84": (run_bb84, {"distance_km", "pulses", "source", "detector"}),
-    "keypool": (run_keypool, {"capacity", "num_requests", "key_num", "key_length",
-                              "end_time_ps", "keygen_rate", "n_repeaters",
-                              "extra_endnodes", "distance_km"}),
-    "satellite": (run_satellite, {"window_ps", "min_km", "max_km", "loss_table",
-                                  "bins", "pulses_per_bin", "efficiency"}),
+    "chsh": (run_chsh, {
+        "strategy": ("quantum-optimal", _choice("quantum-optimal", "classical-optimal")),
+        "rounds": (100_000, _number(1, whole=True)),
+        "exhaustive": (False, _choice(False, True))}),
+    "bb84": (run_bb84, {
+        "distance_km": (50.0, _number(0)),
+        "pulses": (100_000, _number(1, whole=True)),
+        "source": ({"frequency": 1e6, "exact_photon_number": 1}, _device(PhotonSource)),
+        "detector": ({"efficiency": 1.0, "dark_count_rate": 0.0},
+                     _device(PolarizationDetector))}),
+    "keypool": (run_keypool, {
+        "capacity": (40, _number(1, whole=True)),
+        "num_requests": (8, _number(0, whole=True)),
+        "key_num": (10, _number(1, whole=True)),
+        "key_length": (32, _number(1, whole=True)),
+        # 0.2 s; requests are issued in [0, 0.8 end time), which must hold 1 ps
+        "end_time_ps": (200_000_000_000, _number(2, whole=True)),
+        "keygen_rate": (20.0, lambda rate:  # keygen_interval_ps checks the rate
+                        keygen_interval_ps(_number()(rate)) and float(rate)),
+        "n_repeaters": (2, _number(0, whole=True)),
+        "extra_endnodes": ([["C", 0], ["D", 1]], list),  # see _extra_endnodes
+        "distance_km": (1.0, _number(0))}),
+    "satellite": (run_satellite, {
+        "window_ps": ([0, 300_000_000_000], _window),  # 0.3 s
+        "min_km": (500.0, _number(0)),
+        "max_km": (1400.0, _number(0)),
+        "loss_table": ([[500.0, 13.0], [800.0, 15.5], [1100.0, 18.0], [1400.0, 20.5]],
+                       _loss_table),
+        "bins": (41, _number(2, whole=True)),  # a correlation needs two points
+        "pulses_per_bin": (200_000, _number(0, whole=True)),
+        "efficiency": (0.5, _number(0, 1))}),
 }
 
 
-def run_scenario(config, seed, out_dir):
+def resolve(config):
+    """(runner, settings) of a config: every key of its scenario's table,
+    converted, else ScenarioError naming the scenario or the key."""
     kind = config.get("scenario")
-    if kind not in _SCENARIOS:
+    if not isinstance(kind, str) or kind not in _SCENARIOS:
         raise ScenarioError(f"unknown scenario {kind!r}; "
                             f"choose from {sorted(_SCENARIOS)}")
-    run, keys = _SCENARIOS[kind]
-    unknown = sorted(set(config) - keys - _COMMON_KEYS)
+    run, table = _SCENARIOS[kind]
+    unknown = sorted(set(config) - set(table) - _COMMON_KEYS)
     if unknown:
         raise ScenarioError(f"unknown {kind} config key(s) {unknown}; "
-                            f"choose from {sorted(keys | _COMMON_KEYS)}")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    metrics = run(config, seed, out_dir)
+                            f"choose from {sorted(set(table) | _COMMON_KEYS)}")
+    settings = {}
+    for key, (default, convert) in table.items():
+        try:
+            settings[key] = convert(config.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise ScenarioError(f"config key {key!r}: {exc}") from None
+    return run, settings
+
+
+def run_scenario(config, seed, out_dir):
+    run, settings = resolve(config)
+    metrics = run(settings, seed, Path(out_dir))
     write_manifest(out_dir, config, seed)
     return metrics

@@ -1,11 +1,21 @@
 """CLI contract: subcommands, exit codes, reproducibility, aggregation."""
 
+import contextlib
 import csv
+import inspect
+import io
 import json
+import math
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from qnetsim.cli import main, parse_time_ps
+from qnetsim.netmodel.devices import PhotonSource, PolarizationDetector
+from qnetsim.scenarios import _SCENARIOS
 from qnetsim.compiler import (ClassicalSend, LocalOp, Transmit, dump_script)
 from qnetsim.backend import Circuit, is_standard
 
@@ -134,6 +144,7 @@ def test_run_bad_keypool_config_exits_2_naming_the_key(tmp_path, capsys, bad, na
     cfg = _write_config(tmp_path, {"scenario": "keypool", "seed": 3, **bad})
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.filterwarnings("error")  # a bad value fails before numpy can warn
@@ -144,12 +155,83 @@ def test_run_bad_keypool_config_exits_2_naming_the_key(tmp_path, capsys, bad, na
     ({"scenario": "satellite", "bins": 0}, "bins"),
     ({"scenario": "satellite", "bins": 1}, "bins"),
     ({"scenario": "satellite", "window_ps": 5}, "window_ps"),
+    ({"scenario": "bb84", "pulses": -5}, "pulses"),
+    ({"scenario": "bb84", "distance_km": math.inf}, "distance_km"),
+    ({"scenario": "bb84", "source": {"frequency": 0}}, "source"),
+    ({"scenario": "bb84", "source": {"mean_photon_num": math.nan,
+                                     "exact_photon_number": None}}, "source"),
+    ({"scenario": "bb84", "source": {"exact_photon_number": -1}}, "source"),
+    ({"scenario": "bb84", "detector": {"dark_count_rate": -1}}, "detector"),
+    ({"scenario": "chsh", "strategy": "bogus"}, "strategy"),
+    ({"scenario": "chsh", "rounds": True}, "rounds"),
+    ({"scenario": "chsh", "strategy": "classical-optimal", "exhaustive": "yes"},
+     "exhaustive"),
+    ({"scenario": "satellite", "loss_table": []}, "loss_table"),
+    ({"scenario": "satellite", "loss_table": [[1400, 20], [500, 13]]}, "loss_table"),
+    ({"scenario": "satellite", "window_ps": [10, 0]}, "window_ps"),
+    ({"scenario": "satellite", "efficiency": -1}, "efficiency"),
+    ({"scenario": "keypool", "capacity": 2.7}, "capacity"),
+    ({"scenario": "keypool", "key_num": 0}, "key_num"),
+    ({"scenario": "keypool", "key_length": 0}, "key_length"),
+    ({"scenario": "keypool", "num_requests": -3}, "num_requests"),
+    ({"scenario": "keypool", "end_time_ps": 1}, "end_time_ps"),
+    ({"scenario": "keypool", "distance_km": math.nan}, "distance_km"),
 ])
 def test_run_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, config, named):
     cfg = _write_config(tmp_path, {"seed": 3, **config})
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
     assert named in capsys.readouterr().err
-    assert not (tmp_path / "o" / "results.csv").exists()
+    assert not (tmp_path / "o").exists()
+
+
+# ---- the exit-code contract, fuzzed ----------------------------------------
+
+_SMALL_CONFIGS = {  # a valid config per scenario that runs in milliseconds
+    "chsh": {"scenario": "chsh", "rounds": 200},
+    "bb84": {"scenario": "bb84", "pulses": 200},
+    "satellite": {"scenario": "satellite", "bins": 5, "pulses_per_bin": 100},
+    "keypool": {"scenario": "keypool", "num_requests": 3, "end_time_ps": 10**9},
+}
+_DEVICES = {"source": PhotonSource, "detector": PolarizationDetector}
+# (scenario, top-level key, device keyword or None)
+_TARGETS = [(kind, key, None) for kind, (_, table) in _SCENARIOS.items() for key in table]
+_TARGETS += [("bb84", key, kwarg) for key, cls in _DEVICES.items()
+             for kwarg in inspect.signature(cls).parameters if kwarg not in ("name", "env")]
+_REVERSED = object()  # stands for the key's default list, reversed
+_HOSTILE = ["x", None, 0, -1, 2.5, True, math.nan, math.inf, -math.inf, [], _REVERSED,
+            {"bogus": 1}]
+
+
+@pytest.mark.filterwarnings("error")
+@settings(max_examples=500, deadline=None)  # tries every (key, value) pair
+@given(st.sampled_from(_TARGETS), st.sampled_from(_HOSTILE))
+def test_run_exits_0_or_2_naming_the_key_on_any_one_bad_value(target, value):
+    kind, key, kwarg = target
+    config = json.loads(json.dumps(_SMALL_CONFIGS[kind]))
+    default = _SCENARIOS[kind][1][key][0]
+    if value is _REVERSED:
+        assume(kwarg is None and isinstance(default, list))
+        value = default[::-1]
+    config[key] = value if kwarg is None else {**default, kwarg: value}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = main(["run", "--config", str(cfg), "--out-dir", str(Path(tmp) / "o")])
+    assert code in (0, 2), err.getvalue()
+    if code == 2:
+        assert key in err.getvalue()
+
+
+def test_readme_tables_match_the_scenario_keys_and_defaults():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    documented = {}
+    for kind, body in re.findall(r"^#### `(\w+)`\n(.*?)(?=^#|\Z)", readme, re.M | re.S):
+        documented[kind] = {key: json.loads(default) for key, default
+                            in re.findall(r"^\| `(\w+)` \| `(.+?)` \|", body, re.M)}
+    assert documented == {kind: {key: default for key, (default, _) in table.items()}
+                          for kind, (_, table) in _SCENARIOS.items()}
 
 
 @pytest.mark.parametrize("config", [
@@ -283,6 +365,40 @@ def test_sweep_non_numeric_values_exit_2(tmp_path):
     assert main(["sweep", "--config", cfg, "--parameter", "rounds",
                  "--values", "many", "--replications", "1",
                  "--out-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_fewer_than_one_job_exits_2(tmp_path, capsys, jobs):
+    cfg = _write_config(tmp_path, {"scenario": "chsh", "rounds": 100})
+    assert main(["sweep", "--config", cfg, "--parameter", "rounds", "--values", "10",
+                 "--jobs", jobs, "--out-dir", str(tmp_path / "sw")]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("parameter,values", [
+    ("capacity", ["0"]),
+    ("capacity", ["20", "20.5"]),
+    ("capacity", ["20", "nan"]),
+    ("n_repeaters", ["1"]),  # the default extra endnode D hangs off R2
+])
+def test_sweep_value_the_scenario_rejects_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                                      parameter, values):
+    cfg = _write_config(tmp_path, {"scenario": "keypool", "num_requests": 1})
+    assert main(["sweep", "--config", cfg, "--parameter", parameter, "--values", *values,
+                 "--out-dir", str(tmp_path / "sw")]) == 2
+    assert parameter in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+def test_sweep_a_declared_key_the_config_omits(tmp_path):
+    omitted = _write_config(tmp_path, {"scenario": "keypool", "seed": 3}, "omitted.json")
+    given = _write_config(tmp_path, {"scenario": "keypool", "seed": 3, "capacity": 40})
+    assert main(["sweep", "--config", omitted, "--parameter", "capacity", "--values", "40",
+                 "--out-dir", str(tmp_path / "sw")]) == 0
+    assert main(["run", "--config", given, "--out-dir", str(tmp_path / "direct")]) == 0
+    assert (tmp_path / "sw" / "value_40_rep_0" / "results.csv").read_bytes() == \
+        (tmp_path / "direct" / "results.csv").read_bytes()
 
 
 def test_sweep_unknown_parameter_exits_2(tmp_path):

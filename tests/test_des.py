@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qnetsim.des import (Entity, EnvState, Event, FutureEventList, SimEnv,
-                         clear_default_env, get_default_env, set_default_env)
+from qnetsim.des import Entity, EnvState, Event, FutureEventList, SimEnv
 
 
 class Recorder(Entity):
@@ -15,13 +14,6 @@ class Recorder(Entity):
 
     def note(self, tag):
         self.seen.append((self.env.now, tag))
-
-
-@pytest.fixture(autouse=True)
-def _no_default_env():
-    clear_default_env()
-    yield
-    clear_default_env()
 
 
 def test_events_execute_in_time_order():
@@ -133,13 +125,6 @@ def test_run_stops_at_end_time_without_consuming_later_events():
     assert env.state is EnvState.FINISHED
 
 
-def test_entity_attaches_to_default_env():
-    env = SimEnv("dflt", default=True)
-    rec = Recorder("r")
-    assert rec.env is env
-    assert get_default_env() is env
-
-
 def test_default_env_required_when_unset():
     with pytest.raises(RuntimeError):
         Recorder("orphan")
@@ -180,13 +165,13 @@ class PingPong(Entity):
         self.count = 0
 
     def _init(self):
-        self.scheduler.schedule_after(1, self, "ping")
+        self.env.schedule_after(1, self, "ping")
 
     def ping(self):
         self.count += 1
         if self.count < 5:
             jitter = int(self.rng.integers(1, 10))
-            self.scheduler.schedule_after(jitter, self, "ping")
+            self.env.schedule_after(jitter, self, "ping")
 
 
 def _run_trace(seed):

@@ -96,6 +96,23 @@ def test_free_space_and_mobility_losses_agree(env):
         assert mob.loss_db(distance) == ch.loss_db(distance)
 
 
+@pytest.mark.parametrize("table", [[(1400.0, 20.0), (500.0, 13.0)],
+                                   [(500.0, 13.0), (500.0, 14.0)],
+                                   [(500.0, 13.0), (float("nan"), 14.0)]])
+def test_loss_tables_need_increasing_distances(env, table):
+    # np.interp would quietly give wrong losses for these
+    with pytest.raises(ValueError, match="increasing distances"):
+        FreeSpaceChannel("f", Node("a", env), Node("b", env), loss_table=table, env=env)
+    with pytest.raises(ValueError, match="increasing distances"):
+        Mobility(triangular_trajectory(0, 100, 500, 1400), (0, 100), table)
+    doc = {"nodes": [{"name": "a"}, {"name": "b"}],
+           "links": [{"ends": ["a", "b"],
+                      "channels": [{"kind": "free-space", "sender": "a", "receiver": "b",
+                                    "loss_table": [list(row) for row in table]}]}]}
+    with pytest.raises(ValueError, match="increasing distances"):
+        load_topology_from(doc, env=SimEnv("topo"))
+
+
 # ---- devices --------------------------------------------------------------
 
 def test_photon_source_poisson_statistics(env):
@@ -129,6 +146,21 @@ def test_detector_efficiency_and_dark_counts(env):
 def test_detector_validates_efficiency(env):
     with pytest.raises(ValueError):
         PolarizationDetector("d", efficiency=1.5, env=env)
+
+
+@pytest.mark.parametrize("cls,kwargs", [
+    (PhotonSource, {"frequency": 0}),
+    (PhotonSource, {"frequency": float("inf")}),
+    (PhotonSource, {"mean_photon_num": float("nan")}),
+    (PhotonSource, {"exact_photon_number": -1}),
+    (PhotonSource, {"exact_photon_number": 1.5}),
+    (PhotonSource, {"exact_photon_number": True}),
+    (PolarizationDetector, {"dark_count_rate": -1}),
+    (PolarizationDetector, {"dark_count_rate": float("nan")}),
+])
+def test_devices_reject_parameters_they_cannot_simulate(env, cls, kwargs):
+    with pytest.raises(ValueError):
+        cls("d", env=env, **kwargs)
 
 
 # ---- routing --------------------------------------------------------------
