@@ -66,14 +66,14 @@ def _apply_overrides(config, args):
 def cmd_run(args) -> int:
     try:
         config = _apply_overrides(_load_config(args.config), args)
-        seed = int(config.get("seed", 0))
+        seed = resolve(config)[1]["seed"]
         out_dir = Path(args.out_dir)
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError) as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
         metrics = run_scenario(config, seed, out_dir)
-    except ScenarioError as exc:
+    except ScenarioError as exc:  # a check across keys, made by the runner
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure inside a valid scenario
@@ -130,14 +130,16 @@ def cmd_sweep(args) -> int:
         if args.jobs < 1:
             raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
         values = [float(v) for v in args.values]
-        base_seed = int(config.get("seed", 0))
+        repeated = next((v for i, v in enumerate(values) if v in values[:i]), None)
+        if repeated is not None:
+            raise ValueError(f"--values lists {repeated:g} more than once")
         out_dir = Path(args.out_dir)
         jobs = []
         for value in values:
             cfg = copy.deepcopy(config)
             raw = int(value) if value.is_integer() else value
             _set_by_path(cfg, args.parameter, raw)
-            resolve(cfg)  # a value the scenario rejects starts no run
+            base_seed = resolve(cfg)[1]["seed"]  # a rejected value starts no run
             jobs.extend((value, cfg, base_seed + 1000 * rep,
                          out_dir / f"value_{raw}_rep_{rep}")
                         for rep in range(args.replications))

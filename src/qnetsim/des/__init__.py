@@ -1,10 +1,9 @@
-from .event import Event, FutureEventList
+from .event import Event
 from .env import SimEnv, SimReport, EnvState
 from .entity import Entity
 
 __all__ = [
     "Event",
-    "FutureEventList",
     "SimEnv",
     "SimReport",
     "EnvState",

@@ -1,8 +1,8 @@
 """Entities: the main objects of the simulated system.
 
 Every entity is attached to exactly one environment, which schedules
-its events.  `install` adds sub-components; environment initialization
-cascades `init` through the component tree exactly once.
+its events.  Environment initialization runs each attached entity's
+`_init` hook once, in the order the entities were attached.
 """
 
 from __future__ import annotations
@@ -14,30 +14,13 @@ class Entity:
             raise RuntimeError(f"entity {name!r} needs a simulation environment")
         self.name = name
         self.env = env
-        self.components = []
-        self.owner = None
-        self._initialized = False
         self.env.attach(self)
 
     def install(self, component):
-        """Add one sub-entity or a list of them."""
-        if isinstance(component, (list, tuple)):
-            for c in component:
-                self.install(c)
-            return
+        """Check that `component` shares this entity's environment."""
         if component.env is not self.env:
             raise ValueError(
                 f"component {component.name} belongs to a different environment")
-        component.owner = self
-        self.components.append(component)
-
-    def init(self):
-        if self._initialized:
-            return
-        self._initialized = True
-        self._init()
-        for component in self.components:
-            component.init()
 
     def _init(self):
         """Hook for subclasses; runs once at environment initialization."""

@@ -2,7 +2,9 @@
 
 A `SimEnv` owns the virtual timeline (integer picoseconds), the future
 event list and the master random seed.  Entities attach to an
-environment at creation.
+environment at creation.  The future event list `fel` is a heap of
+`(time, priority, seq, event)` tuples; seq is unique, so the heap
+compares plain integers and never reaches the events.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 
-from .event import Event, FutureEventList
+from .event import Event
 
 INFINITE = None  # sentinel: run until the future event list drains
 
@@ -44,7 +46,7 @@ class SimEnv:
     def __init__(self, name, seed=0):
         self.name = name
         self.now = 0
-        self.fel = FutureEventList()
+        self.fel = []  # heap of (time, priority, seq, event)
         self.state = EnvState.CREATED
         self.seed = seed
         self.entities = []
@@ -93,7 +95,7 @@ class SimEnv:
             raise ValueError(f"{event!r} is already scheduled")
         event.executed = False
         event.seq = seq = next(self._seq)
-        heappush(self.fel.heap, (event.time, event.priority, seq, event))
+        heappush(self.fel, (event.time, event.priority, seq, event))
         return event
 
     def schedule_at(self, time, owner, action, *args, priority=0, **kwargs):
@@ -111,15 +113,15 @@ class SimEnv:
         if self.state is not EnvState.CREATED:
             raise RuntimeError(f"init is only legal from created state, not {self.state}")
         self.state = EnvState.INITIALIZED
-        # snapshot: entity init may create further (already-initialized) helpers
+        # snapshot: an entity that an `_init` hook creates gets no `_init` call
         for entity in list(self.entities):
-            entity.init()
+            entity._init()
 
     def run(self, end_time=INFINITE, logging=False) -> SimReport:
         if self.state is not EnvState.INITIALIZED:
             raise RuntimeError(f"run is only legal from initialized state, not {self.state}")
         self.state = EnvState.RUNNING
-        heap, trace = self.fel.heap, self.trace
+        heap, trace = self.fel, self.trace
         limit = float("inf") if end_time is INFINITE else end_time
         executed = 0
         while heap:

@@ -1,14 +1,13 @@
-"""Events and the future event list.
+"""Events: scheduled calls of a handler.
 
-Simulation time is a non-negative integer number of picoseconds.  Events
-are totally ordered by (time, priority, seq): lower priority values are
-more urgent, and seq is a global insertion counter that makes ties
-deterministic.
+Simulation time is a non-negative integer number of picoseconds.  The
+environment runs events in (time, priority, seq) order: lower priority
+values are more urgent, and seq is a global insertion counter that makes
+ties deterministic.
 """
 
 from __future__ import annotations
 
-import heapq
 import warnings
 
 
@@ -39,10 +38,6 @@ class Event:
         owner_name = getattr(owner, "name", type(owner).__name__)
         self.handler_name = f"{owner_name}.{action}"
 
-    @property
-    def sort_key(self):
-        return (self.time, self.priority, self.seq)
-
     def cancel(self):
         """Drop the event before it runs; after it has run, warn and do nothing."""
         if self.executed:
@@ -54,28 +49,3 @@ class Event:
         return (f"Event(t={self.time}, prio={self.priority}, seq={self.seq}, "
                 f"handler={self.handler_name})")
 
-
-class FutureEventList:
-    """Heap of events ordered by (time, priority, seq).
-
-    ``heap`` holds ``(time, priority, seq, event)`` tuples, so the heap
-    compares plain integers and never calls back into Python; seq is
-    unique, so no comparison ever reaches the event itself.
-    """
-
-    def __init__(self):
-        self.heap = []
-
-    def __len__(self):
-        return len(self.heap)
-
-    def push(self, event: Event):
-        if event.seq is None:
-            raise ValueError("event must be sequenced by the environment before push")
-        heapq.heappush(self.heap, (event.time, event.priority, event.seq, event))
-
-    def peek(self) -> Event:
-        return self.heap[0][3]
-
-    def pop(self) -> Event:
-        return heapq.heappop(self.heap)[3]

@@ -25,26 +25,20 @@ class Node(Entity):
     def __init__(self, name, env=None, location=None):
         super().__init__(name, env)
         self.devices = {}
-        self.stack = None
         self.location = location
         self.network = None
 
     def install_device(self, device):
+        self.install(device)
         if device.name in self.devices:
             raise ValueError(f"duplicate device name {device.name!r} on node {self.name!r}")
         self.devices[device.name] = device
-        self.install(device)
 
     def device_of_kind(self, cls):
         for device in self.devices.values():
             if isinstance(device, cls):
                 return device
         return None
-
-    def load_protocol(self, stack):
-        self.stack = stack
-        for proto in stack.protocols:
-            proto.node = self
 
     # ---- messaging ------------------------------------------------------
     def channel_to(self, dst, kind=ClassicalFiberChannel):
@@ -67,13 +61,13 @@ class Link(Entity):
         self.channels = []
 
     def install_channel(self, channel: Channel):
+        self.install(channel)
         if self.ends is None:
             raise RuntimeError(f"link {self.name!r} has no endpoints")
         if {channel.sender, channel.receiver} - set(self.ends):
             raise ValueError(
                 f"channel {channel.name!r} endpoints are not the ends of link {self.name!r}")
         self.channels.append(channel)
-        self.install(channel)
 
 
 class Network(Entity):
@@ -87,20 +81,20 @@ class Network(Entity):
         self.classical_routes = {}
 
     def install_node(self, node: Node):
+        self.install(node)
         if node.name in self._by_name:
             raise ValueError(f"duplicate node name {node.name!r}")
         node.network = self
         self._by_name[node.name] = node
         self.nodes.append(node)
-        self.install(node)
 
     def install_link(self, link: Link):
+        self.install(link)
         for end in link.ends:
             if self._by_name.get(end.name) is not end:
                 raise ValueError(
                     f"link {link.name!r} endpoint {end.name!r} is not installed")
         self.links.append(link)
-        self.install(link)
 
     def node(self, name) -> Node:
         try:

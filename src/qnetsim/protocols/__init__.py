@@ -1,4 +1,3 @@
-from .stack import Protocol, ProtocolStack
 from .bb84 import bb84_generate, decoy_bb84_generate, BB84Result, DecoyResult
 from .keypool import KeyPool
 from .chsh import (
@@ -13,8 +12,6 @@ from .teleport import QubitManager, teleport, entanglement_swap, bell_pair
 from .qkd_network import KeyRequest, KeyDistributionNetwork, build_chain_network
 
 __all__ = [
-    "Protocol",
-    "ProtocolStack",
     "bb84_generate",
     "decoy_bb84_generate",
     "BB84Result",

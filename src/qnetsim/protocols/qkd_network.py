@@ -1,11 +1,17 @@
 """End-to-end key distribution with key pools and trusted repeaters.
 
-The key network has four layers.  Endnodes run an application that
-issues requests; every node runs resource management and routing; key
-generation fills battery-like pools, each shared by the two endpoints of
-a segment.  One keygen clock per network adds a key to every pool at
-each interval (a full pool drops it), and an added key wakes the
-resource managers of its segment that wait for keys.  A repeater serves
+The key network has four layers, each a direct call into the next:
+- application: a `_RequestIssuer` event issues a request at an endnode
+  (`KeyDistributionNetwork.issue_request`);
+- resource management: each `QKDNode`'s `QKDRMP` queues requests, takes
+  keys from the pools it shares with its neighbours and sends messages;
+- routing: the `Network`'s next-hop table, from which the source builds
+  a request's hop map and relay-only messages take their delay;
+- key generation: a `KeyClock` fills battery-like pools, each shared by
+  the two endpoints of a segment.
+The keygen clock adds a key to every pool at each interval (a full pool
+drops it), and an added key wakes the resource managers of its segment
+that wait for keys.  A repeater serves
 a request by taking keys from its upstream and downstream pools and
 relaying the one-time-pad ciphertext c = k_up XOR k_down to the
 destination, which unwinds the chain of ciphertexts to recover the
@@ -33,11 +39,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..des import Entity, Event
+from ..des import Event
 from ..netmodel.channel import ClassicalFiberChannel, QuantumFiberChannel
 from ..netmodel.network import Link, Network, Node
 from .keypool import KeyPool
-from .stack import Protocol, ProtocolStack
 
 
 def xor_keys(a: str, b: str) -> str:
@@ -115,9 +120,18 @@ class KeyClock:
         env.schedule(event)
 
 
-class QKDRouting(Protocol):
-    """Static shortest-path routing layer."""
+class QKDRMP:
+    """Resource management of one node: its request queue, the pools it
+    shares with its neighbours, and the sends along a request's hop map."""
 
+    def __init__(self, node):
+        self.node = node
+        self.env = node.env
+        self.pools = {}  # neighbor name -> KeyPool (shared with the neighbor)
+        self.queue = []  # FIFO of queued KeyRequests (repeater role)
+        self.waiting_local = []  # endnode requests waiting for segment keys
+
+    # --- sending ----------------------------------------------------------
     def forward(self, msg, neighbor):
         """Send `msg` to the neighbour named `neighbor` (from the hop map)."""
         node = self.node
@@ -132,17 +146,6 @@ class QKDRouting(Protocol):
         self.env.schedule_after(delay, channel.receiver, "receive_classical_msg",
                                 msg, channel.sender)
 
-
-class QKDRMP(Protocol):
-    """Resource management: request queue and pool coordination."""
-
-    def __init__(self, name, routing: QKDRouting):
-        super().__init__(name)
-        self.routing = routing
-        self.pools = {}  # neighbor name -> KeyPool (shared with the neighbor)
-        self.queue = []  # FIFO of queued KeyRequests (repeater role)
-        self.waiting_local = []  # endnode requests waiting for segment keys
-
     # --- request initiation (source side) --------------------------------
     def initiate(self, request: KeyRequest):
         request.issued_ps = self.env.now
@@ -156,7 +159,7 @@ class QKDRMP(Protocol):
         request.path = path
         request.hops = {name: (up, down) for up, name, down
                         in zip([None, *path], path, [*path[1:], None])}
-        self.routing.forward({"type": "REQUEST", "request": request}, path[1])
+        self.forward({"type": "REQUEST", "request": request}, path[1])
 
     # --- message handling ------------------------------------------------
     def handle_classical(self, msg, src):
@@ -167,13 +170,13 @@ class QKDRMP(Protocol):
         if any(request.key_num > self.pools[n].v_max
                for n in (up, down) if n is not None):
             # fail fast: a pool this node takes from can never hold enough keys
-            self.routing.relay({"type": "REJECT", "request": request}, request.src)
+            self.relay({"type": "REJECT", "request": request}, request.src)
         elif down is None:  # destination
             request.advance("accepted")
-            self.routing.forward({"type": "ACCEPT", "request": request}, up)
+            self.forward({"type": "ACCEPT", "request": request}, up)
             self._take_or_wait(request)
         else:
-            self.routing.forward(msg, down)
+            self.forward(msg, down)
 
     def _on_reject(self, request, msg):
         request.state = "rejected"
@@ -183,7 +186,7 @@ class QKDRMP(Protocol):
         if up is None:  # source
             self._take_or_wait(request)
             return
-        self.routing.forward(msg, up)
+        self.forward(msg, up)
         request.advance("queued")
         self.queue.append(request)
         self.try_process()
@@ -220,9 +223,8 @@ class QKDRMP(Protocol):
             k_up = pool_up.take_for(request.id, request.key_num)
             k_down = pool_down.take_for(request.id, request.key_num)
             cipher = xor_key_lists(k_up, k_down)
-            self.routing.relay({"type": "CIPHERTEXT", "request": request,
-                                "repeater": self.node.name,
-                                "cipher": cipher}, request.dst)
+            self.relay({"type": "CIPHERTEXT", "request": request,
+                        "repeater": self.node.name, "cipher": cipher}, request.dst)
 
     # --- destination side -------------------------------------------------
     def _on_ciphertext(self, request, msg):
@@ -236,7 +238,7 @@ class QKDRMP(Protocol):
         for cipher in request.ciphertexts.values():  # XOR commutes: any order
             keys = xor_key_lists(keys, cipher)
         request.dst_keys = keys  # now equals the source-side segment keys
-        self.routing.relay({"type": "DONE", "request": request}, request.src)
+        self.relay({"type": "DONE", "request": request}, request.src)
 
     def _on_done(self, request, msg):
         request.advance("done")
@@ -255,41 +257,12 @@ class QKDRMP(Protocol):
                  "DONE": _on_done}
 
 
-class QKDApp(Protocol):
-    """Top layer on endnodes: issues requests."""
-
-    def __init__(self, name, rmp: QKDRMP):
-        super().__init__(name)
-        self.rmp = rmp
-
-    def issue(self, request: KeyRequest):
-        self.rmp.initiate(request)
-
-
-def build_stack(node_name, is_endnode):
-    """Application (endnodes only), resource management and routing,
-    built bottom-up so that each layer is handed the layers it calls."""
-    routing = QKDRouting(f"{node_name}.routing")
-    rmp = QKDRMP(f"{node_name}.rmp", routing)
-    relations = [(rmp, routing)]
-    if is_endnode:
-        relations.insert(0, (QKDApp(f"{node_name}.app", rmp), rmp))
-    return ProtocolStack(f"{node_name}.stack").build(relations)
-
-
 class QKDNode(Node):
-    """Node that dispatches key-distribution traffic to its stack.
+    """Node whose resource manager `rmp` handles key-distribution traffic."""
 
-    Loading a (built) stack names its layers once: `app` (None on a
-    repeater) and `rmp`.  Messages, generated keys and the key network
-    reach a layer through these names, never by scanning the stack.
-    """
-
-    def load_protocol(self, stack):
-        super().load_protocol(stack)
-        layers = {type(p): p for p in stack.protocols}
-        self.app = layers.get(QKDApp)
-        self.rmp = layers[QKDRMP]
+    def __init__(self, name, env=None, location=None):
+        super().__init__(name, env, location)
+        self.rmp = QKDRMP(self)
 
     def receive_classical_msg(self, msg, src):
         self.rmp.handle_classical(msg, src)
@@ -312,8 +285,8 @@ def keygen_interval_ps(keygen_rate) -> int:
 
 
 class KeyDistributionNetwork:
-    """A network plus shared segment pools, per-node stacks and the
-    keygen clock that fills the pools at `keygen_rate` keys/s each."""
+    """A network plus shared segment pools and the keygen clock that
+    fills the pools at `keygen_rate` keys/s each."""
 
     def __init__(self, network: Network, endnodes, pool_capacity=40,
                  key_length=32, keygen_rate=1000.0):
@@ -324,8 +297,6 @@ class KeyDistributionNetwork:
         self._ends = {}  # pool key -> the link's two nodes, in link order
         self.clocks = []
         env = network.env
-        for node in network.nodes:
-            node.load_protocol(build_stack(node.name, node.name in self.endnodes))
         for link in network.links:
             if not any(isinstance(c, QuantumFiberChannel) for c in link.channels):
                 continue
@@ -360,7 +331,10 @@ class KeyDistributionNetwork:
                                     generators)]
 
     def issue_request(self, request: KeyRequest):
-        self.network.node(request.src).app.issue(request)
+        if request.src not in self.endnodes:
+            raise ValueError(f"request {request.id}: source {request.src!r} "
+                             "is not an endnode")
+        self.network.node(request.src).rmp.initiate(request)
 
     def schedule_request(self, time_ps, request: KeyRequest):
         self.network.env.schedule_at(time_ps, _RequestIssuer(self, request), "fire")

@@ -257,9 +257,12 @@ def run_satellite(settings, seed, out_dir):
             "sifted_series": sifted_counts, "distance_series": distances}
 
 
-# scenario -> (runner, {config key: (default, convert)}); "scenario", "seed"
-# and "log_level" (the CLI's overrides) are valid in every config
-_COMMON_KEYS = {"scenario", "seed", "log_level"}
+# config keys of every scenario besides "scenario": the CLI's overrides
+_COMMON_KEYS = {
+    "seed": (0, _number(0, whole=True)),
+    "log_level": ("INFO", _choice("DEBUG", "INFO", "WARN")),  # SimEnv's levels
+}
+# scenario -> (runner, {config key: (default, convert)})
 _SCENARIOS = {
     "chsh": (run_chsh, {
         "strategy": ("quantum-optimal", _choice("quantum-optimal", "classical-optimal")),
@@ -296,17 +299,18 @@ _SCENARIOS = {
 
 
 def resolve(config):
-    """(runner, settings) of a config: every key of its scenario's table,
+    """(runner, settings) of a config: every common and scenario key,
     converted, else ScenarioError naming the scenario or the key."""
     kind = config.get("scenario")
     if not isinstance(kind, str) or kind not in _SCENARIOS:
         raise ScenarioError(f"unknown scenario {kind!r}; "
                             f"choose from {sorted(_SCENARIOS)}")
     run, table = _SCENARIOS[kind]
-    unknown = sorted(set(config) - set(table) - _COMMON_KEYS)
+    table = {**_COMMON_KEYS, **table}
+    unknown = sorted(set(config) - set(table) - {"scenario"})
     if unknown:
         raise ScenarioError(f"unknown {kind} config key(s) {unknown}; "
-                            f"choose from {sorted(set(table) | _COMMON_KEYS)}")
+                            f"choose from {sorted(set(table) | {'scenario'})}")
     settings = {}
     for key, (default, convert) in table.items():
         try:

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qnetsim.cli import main, parse_time_ps
 from qnetsim.netmodel.devices import PhotonSource, PolarizationDetector
-from qnetsim.scenarios import _SCENARIOS
+from qnetsim.scenarios import _COMMON_KEYS, _SCENARIOS
 from qnetsim.compiler import (ClassicalSend, LocalOp, Transmit, dump_script)
 from qnetsim.backend import Circuit, is_standard
 
@@ -116,6 +116,25 @@ def test_run_negative_end_time_exits_2(tmp_path, capsys):
     assert not (tmp_path / "neg").exists()
 
 
+@pytest.mark.parametrize("command", [["run"],
+                                     ["sweep", "--parameter", "rounds", "--values", "100"]])
+def test_negative_seed_flag_exits_2_naming_seed(tmp_path, capsys, command):
+    cfg = _write_config(tmp_path, {"scenario": "chsh", "rounds": 100})
+    assert main([*command, "--config", cfg, "--seed", "-1",
+                 "--out-dir", str(tmp_path / "o")]) == 2
+    assert "config key 'seed'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_whole_float_seed_runs_as_that_integer(tmp_path):
+    for sub, seed in (("int", 7), ("float", 7.0)):
+        cfg = _write_config(tmp_path, {"scenario": "chsh", "rounds": 100, "seed": seed})
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / sub)]) == 0
+    assert (tmp_path / "int" / "results.csv").read_bytes() == \
+        (tmp_path / "float" / "results.csv").read_bytes()
+    assert json.loads((tmp_path / "float" / "manifest.json").read_text())["seed"] == 7
+
+
 def test_run_unknown_log_level_exits_2(tmp_path, capsys):
     cfg = _write_config(tmp_path, {"scenario": "chsh", "rounds": 100})
     assert main(["run", "--config", cfg, "--log-level", "ERROR",
@@ -176,6 +195,10 @@ def test_run_bad_keypool_config_exits_2_naming_the_key(tmp_path, capsys, bad, na
     ({"scenario": "keypool", "num_requests": -3}, "num_requests"),
     ({"scenario": "keypool", "end_time_ps": 1}, "end_time_ps"),
     ({"scenario": "keypool", "distance_km": math.nan}, "distance_km"),
+    ({"scenario": "chsh", "seed": 2.5}, "seed"),
+    ({"scenario": "chsh", "seed": True}, "seed"),
+    ({"scenario": "chsh", "seed": -1}, "seed"),
+    ({"scenario": "chsh", "log_level": "BOGUS"}, "log_level"),
 ])
 def test_run_bad_config_value_exits_2_naming_the_key(tmp_path, capsys, config, named):
     cfg = _write_config(tmp_path, {"seed": 3, **config})
@@ -195,6 +218,7 @@ _SMALL_CONFIGS = {  # a valid config per scenario that runs in milliseconds
 _DEVICES = {"source": PhotonSource, "detector": PolarizationDetector}
 # (scenario, top-level key, device keyword or None)
 _TARGETS = [(kind, key, None) for kind, (_, table) in _SCENARIOS.items() for key in table]
+_TARGETS += [("chsh", key, None) for key in _COMMON_KEYS]
 _TARGETS += [("bb84", key, kwarg) for key, cls in _DEVICES.items()
              for kwarg in inspect.signature(cls).parameters if kwarg not in ("name", "env")]
 _REVERSED = object()  # stands for the key's default list, reversed
@@ -202,13 +226,16 @@ _HOSTILE = ["x", None, 0, -1, 2.5, True, math.nan, math.inf, -math.inf, [], _REV
             {"bogus": 1}]
 
 
+# hypothesis's failure report warns from mypy_extensions; as an error it would
+# hide the falsifying example behind an INTERNALERROR
+@pytest.mark.filterwarnings("ignore:mypy_extensions.TypedDict is deprecated:DeprecationWarning")
 @pytest.mark.filterwarnings("error")
 @settings(max_examples=500, deadline=None)  # tries every (key, value) pair
 @given(st.sampled_from(_TARGETS), st.sampled_from(_HOSTILE))
 def test_run_exits_0_or_2_naming_the_key_on_any_one_bad_value(target, value):
     kind, key, kwarg = target
     config = json.loads(json.dumps(_SMALL_CONFIGS[kind]))
-    default = _SCENARIOS[kind][1][key][0]
+    default = {**_COMMON_KEYS, **_SCENARIOS[kind][1]}[key][0]
     if value is _REVERSED:
         assume(kwarg is None and isinstance(default, list))
         value = default[::-1]
@@ -388,6 +415,15 @@ def test_sweep_value_the_scenario_rejects_exits_2_and_writes_nothing(tmp_path, c
     assert main(["sweep", "--config", cfg, "--parameter", parameter, "--values", *values,
                  "--out-dir", str(tmp_path / "sw")]) == 2
     assert parameter in capsys.readouterr().err
+    assert not (tmp_path / "sw").exists()
+
+
+@pytest.mark.parametrize("values", [["100", "100"], ["100", "200", "100.0"]])
+def test_sweep_repeated_value_exits_2_before_any_run(tmp_path, capsys, values):
+    cfg = _write_config(tmp_path, {"scenario": "chsh", "rounds": 100})
+    assert main(["sweep", "--config", cfg, "--parameter", "rounds", "--values", *values,
+                 "--out-dir", str(tmp_path / "sw")]) == 2
+    assert "--values lists 100 more than once" in capsys.readouterr().err
     assert not (tmp_path / "sw").exists()
 
 

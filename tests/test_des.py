@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qnetsim.des import Entity, EnvState, Event, FutureEventList, SimEnv
+from qnetsim.des import Entity, EnvState, Event, SimEnv
 
 
 class Recorder(Entity):
@@ -40,26 +40,17 @@ def test_same_time_orders_by_priority_then_fifo():
 
 @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 5)),
                 min_size=1, max_size=60))
-def test_fel_pops_in_sort_key_order(items):
-    fel = FutureEventList()
-    for seq, (time, priority) in enumerate(items):
-        ev = Event(time, None, "x", (), {}, priority)
-        ev.seq = seq
-        fel.push(ev)
-    popped = [fel.pop().sort_key for _ in range(len(items))]
-    assert popped == sorted(popped)
-
-
-def test_fel_breaks_time_priority_ties_by_seq_without_comparing_events():
-    assert "__lt__" not in vars(Event)
-    fel = FutureEventList()
-    for seq in (3, 1, 2):
-        ev = Event(7, None, f"e{seq}", priority=1)
-        ev.seq = seq
-        fel.push(ev)
-    assert fel.peek().action == "e1"
-    assert [fel.pop().action for _ in range(3)] == ["e1", "e2", "e3"]
-    assert len(fel) == 0
+def test_run_executes_events_in_time_priority_seq_order(items):
+    assert "__lt__" not in vars(Event)  # ties are broken by seq, never by the event
+    env = SimEnv("t")
+    rec = Recorder("r", env)
+    env.init()
+    for time, priority in items:
+        env.schedule_at(time, rec, "note", priority, priority=priority)
+    report = env.run()
+    assert [line[:3] for line in env.trace] == sorted(
+        (time, priority, seq) for seq, (time, priority) in enumerate(items))
+    assert report.events_executed == len(items) and env.fel == []
 
 
 def test_cancelled_tie_is_skipped_and_the_rest_run_in_seq_order():
@@ -130,16 +121,18 @@ def test_default_env_required_when_unset():
         Recorder("orphan")
 
 
-def test_entity_init_cascades_to_components():
+def test_init_runs_each_hook_once_in_attach_order():
     env = SimEnv("t")
-    parent = Recorder("p", env)
-    child = Recorder("c", env)
-    parent.install(child)
     inited = []
-    child._init = lambda: inited.append("child")
-    parent._init = lambda: inited.append("parent")
+    entities = [Recorder(name, env) for name in "bca"]
+    for entity in entities:
+        entity._init = lambda name=entity.name: inited.append(name)
+    entities[2].install(entities[0])  # an installed component keeps its place
     env.init()
-    assert inited == ["parent", "child"]
+    assert inited == ["b", "c", "a"]
+    with pytest.raises(RuntimeError, match="init is only legal"):
+        env.init()
+    assert inited == ["b", "c", "a"]
 
 
 def test_rng_streams_are_stable_and_independent_of_creation_order():

@@ -297,6 +297,24 @@ def test_node_lookup_by_name_and_unknown_name(env):
         net.node("Z")
 
 
+def test_entities_of_another_environment_are_not_installed(env):
+    net, a, b, link, _chans = _pair(env)
+    other = SimEnv("other", seed=5)
+    stranger = Node("C", env=other)
+    with pytest.raises(ValueError, match="component C belongs to a different environment"):
+        net.install_node(stranger)
+    assert net.nodes == [a, b] and stranger.network is None
+    with pytest.raises(KeyError):
+        net.node("C")
+    channel = ClassicalFiberChannel("c:far", a, b, 1.0, env=other)
+    with pytest.raises(ValueError, match="component c:far belongs to a different"):
+        link.install_channel(channel)
+    assert channel not in link.channels
+    with pytest.raises(ValueError, match="belongs to a different environment"):
+        net.install_link(Link("far", ends=(a, b), env=other))
+    assert net.links == [link]
+
+
 def test_channel_between_picks_direction_and_kind(env):
     net, a, b, _link, chans = _pair(env)
     for _ in range(2):  # the second round is served from the memo

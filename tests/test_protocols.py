@@ -10,61 +10,13 @@ from qnetsim.netmodel import (ClassicalFiberChannel, Link, Network, Node,
                               QuantumFiberChannel)
 from qnetsim.protocols import (CLASSICAL_OPTIMAL_WIN_RATE,
                                QUANTUM_OPTIMAL_WIN_RATE, KeyPool, KeyRequest,
-                               KeyDistributionNetwork, Protocol, ProtocolStack,
-                               QubitManager, bb84_generate, bell_pair,
-                               build_chain_network, chsh_play,
-                               chsh_quantum_probs, chsh_referee,
-                               decoy_bb84_generate, entanglement_swap,
-                               teleport)
+                               KeyDistributionNetwork, QubitManager,
+                               bb84_generate, bell_pair, build_chain_network,
+                               chsh_play, chsh_quantum_probs, chsh_referee,
+                               decoy_bb84_generate, entanglement_swap, teleport)
 from qnetsim.protocols.chsh import classical_win_rate_exhaustive
-from qnetsim.protocols.qkd_network import QKDNode, build_stack, xor_keys
+from qnetsim.protocols.qkd_network import QKDNode, xor_keys
 from qnetsim.protocols.teleport import bell_measure
-
-
-# ---- protocol stack -------------------------------------------------------
-
-def test_stack_builds_layering():
-    a, b, c = Protocol("app"), Protocol("mid"), Protocol("low")
-    stack = ProtocolStack("s")
-    stack.build([(a, b), (b, c)])
-    assert b in a.lower
-    assert a in b.upper
-    assert c in b.lower
-    assert stack.protocols == [a, b, c]
-
-
-def test_stack_messages_traverse_layers():
-    log = []
-
-    class Down(Protocol):
-        def handle_upper(self, upper, msg, **kwargs):
-            log.append(("down", msg))
-
-    class Up(Protocol):
-        def handle_lower(self, lower, msg, **kwargs):
-            log.append(("up", msg))
-
-    top, bottom = Up("top"), Down("bottom")
-    stack = ProtocolStack("s")
-    stack.build([(top, bottom)])
-    top.send_lower("ping")
-    bottom.send_upper("pong")
-    assert log == [("down", "ping"), ("up", "pong")]
-
-
-def test_load_protocol_sets_every_layers_node():
-    env = SimEnv("s", seed=0)
-    node = Node("n", env=env)
-    top, bottom = Protocol("top"), Protocol("bottom")
-    stack = ProtocolStack("s").build([(top, bottom)])
-    assert top.node is None and bottom.node is None
-    node.load_protocol(stack)
-    assert node.stack is stack
-    assert all(p.node is node and p.env is env for p in (top, bottom))
-    qkd = QKDNode("q", env=env)
-    qkd.load_protocol(build_stack("q", is_endnode=True))
-    assert [p.node for p in qkd.stack.protocols] == [qkd] * 3
-    assert qkd.app.env is qkd.rmp.env is env
 
 
 # ---- key pool -------------------------------------------------------------
@@ -417,6 +369,17 @@ def test_request_to_its_own_source_is_refused():
         kdn.issue_request(KeyRequest(id=0, src="A", dst="A"))
 
 
+def test_request_from_a_repeater_is_refused():
+    env = SimEnv("kdn", seed=0)
+    network, endnodes = build_chain_network(env, n_repeaters=1)
+    kdn = KeyDistributionNetwork(network, endnodes)
+    env.init()
+    request = KeyRequest(id=0, src="R1", dst="B")
+    with pytest.raises(ValueError, match="request 0: source 'R1' is not an endnode"):
+        kdn.issue_request(request)
+    assert request.state == "issued" and env.fel == []
+
+
 def test_accept_retraces_the_path_where_the_route_back_differs():
     # a six-cycle: A->B runs A-P-Z-B, but the route back runs B-C-Q-A
     env = SimEnv("kdn", seed=0)
@@ -503,10 +466,10 @@ def _keygen_network(distance_km=1.0, keygen_rate=1000.0, capacity=10, **chain):
 def test_keygen_clock_is_the_one_pending_keygen_event():
     env, kdn = _keygen_network(n_repeaters=1)  # two pools, 1 ms interval
     (clock,) = kdn.clocks
-    assert [event for *_, event in env.fel.heap] == [clock.event]
+    assert [event for *_, event in env.fel] == [clock.event]
     env.run(end_time=5 * 10**9 + 1)
     assert env.trace == [(k * 10**9, 0, k - 1, "kdnet.keygen") for k in range(1, 6)]
-    assert [event for *_, event in env.fel.heap] == [clock.event]
+    assert [event for *_, event in env.fel] == [clock.event]
     assert (clock.event.time, clock.event.seq) == (6 * 10**9, 5)
 
 
@@ -554,7 +517,7 @@ def test_added_keys_wake_only_waiting_resource_managers(monkeypatch):
     calls = []
     pool_recovered = QKDRMP.pool_recovered
     monkeypatch.setattr(QKDRMP, "pool_recovered",
-                        lambda rmp: calls.append(rmp.name) or pool_recovered(rmp))
+                        lambda rmp: calls.append(rmp.node.name) or pool_recovered(rmp))
     env, kdn = _keygen_network(n_repeaters=1)
     for pool in kdn.pools.values():
         pool.deliver(5)  # room for keys, but nothing waits for them
