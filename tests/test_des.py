@@ -40,8 +40,7 @@ def test_same_time_orders_by_priority_then_fifo():
 
 @given(st.lists(st.tuples(st.integers(0, 1000), st.integers(0, 5)),
                 min_size=1, max_size=60))
-def test_run_executes_events_in_time_priority_seq_order(items):
-    assert "__lt__" not in vars(Event)  # ties are broken by seq, never by the event
+def test_fel_pops_in_sort_key_order(items):
     env = SimEnv("t")
     rec = Recorder("r", env)
     env.init()
@@ -51,6 +50,21 @@ def test_run_executes_events_in_time_priority_seq_order(items):
     assert [line[:3] for line in env.trace] == sorted(
         (time, priority, seq) for seq, (time, priority) in enumerate(items))
     assert report.events_executed == len(items) and env.fel == []
+
+
+def test_fel_breaks_time_priority_ties_by_seq_without_comparing_events():
+    assert "__lt__" not in vars(Event)  # a heap comparison of two events would raise
+    env = SimEnv("t")
+    rec = Recorder("r", env)
+    env.init()
+    for tag in ("e0", "e1", "e2"):
+        env.schedule_at(7, rec, "note", tag, priority=1)
+    assert [item[2] for item in env.fel] == [0, 1, 2]
+    assert env.fel[0][3].args == ("e0",)
+    env.run()
+    assert [tag for _, tag in rec.seen] == ["e0", "e1", "e2"]
+    assert [seq for _, _, seq, _ in env.trace] == [0, 1, 2]
+    assert env.fel == []
 
 
 def test_cancelled_tie_is_skipped_and_the_rest_run_in_seq_order():
