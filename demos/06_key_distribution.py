@@ -20,7 +20,7 @@ def main():
         distance_km=1.0)
     kdn = KeyDistributionNetwork(network, endnodes, pool_capacity=40,
                                  key_length=32, keygen_rate=200.0)
-    env.init()  # routing tables are computed here
+    env.init()  # routes are found when first asked, not here
     kdn.start()
     print(f"endnodes: {endnodes}; "
           f"route A->B: {' -> '.join(network.route('A', 'B'))}")

@@ -1,16 +1,17 @@
 """Network, nodes and links.
 
-A Network owns nodes and links and computes one static shortest-path
-(minimum hop) routing table over its classical channels at
-initialization.  Equal-length alternatives are broken toward the
-lexicographically smallest next hop.  Hop-by-hop messages go to a
-neighbour that the sender names (a key request's hop map is this table's
-`route`); `path_toward` gives the delay and last channel of a whole path.
+A Network owns nodes and links and routes over its classical channels
+by minimum hop count; equal-length alternatives are broken toward the
+lexicographically smallest next hop.  The routes toward a destination
+are found by one BFS the first time that destination is asked, over the
+channels installed by then, and kept until `compute_routes` clears them.
+Hop-by-hop messages go to a neighbour that the sender names (a key
+request's hop map is `route`); `path_toward` gives the delay and last
+channel of a whole path.
 
 Node lookups by name go through a dict, and channel lookups are
 memoised per (sender, receiver, kind): nodes, links and channels are
-only ever added, so a channel once found stays the answer.  A path
-toward a destination lasts until routes change.
+only ever added, so a channel once found stays the answer.
 """
 
 from __future__ import annotations
@@ -77,8 +78,7 @@ class Network(Entity):
         self.links = []
         self._by_name = {}  # node name -> node
         self._channels = {}  # (sender, receiver, kind) -> channel, filled on lookup
-        self._paths = {}  # (sender, destination name) -> (path delay ps, last channel)
-        self.classical_routes = {}
+        self._routes = {}  # destination name -> its routes, filled when first asked
 
     def install_node(self, node: Node):
         self.install(node)
@@ -119,71 +119,62 @@ class Network(Entity):
             f"no {kind.__name__} from {src.name!r} to {dst.name!r}")
 
     # ---- routing --------------------------------------------------------
-    @staticmethod
-    def _next_hops_to(reverse, dst):
-        """BFS over reversed edges: the smallest next hop toward dst of each
-        node that reaches it (all its candidates are dequeued before it)."""
+    def _routes_to(self, dst):
+        """{node name: (next hop, path delay ps, last channel)} toward the
+        node named `dst`, for each node that reaches it.  A BFS over the
+        reversed classical channels finds it when dst is first asked."""
+        routes = self._routes.get(dst)
+        if routes is not None:
+            return routes
+        into = {}  # receiver -> {sender: the channel that channel_between finds}
+        for link in self.links:
+            for ch in link.channels:
+                if isinstance(ch, ClassicalFiberChannel):
+                    into.setdefault(ch.receiver.name, {}).setdefault(ch.sender.name, ch)
         dist = {dst: 0}
         hop = {}
         queue = deque([dst])
-        while queue:
+        while queue:  # a node's candidates are all dequeued before it
             v = queue.popleft()
             d = dist[v] + 1
-            for u in reverse[v]:
+            for u in into.get(v, ()):
                 if u not in dist:
                     dist[u] = d
                     hop[u] = v
                     queue.append(u)
                 elif dist[u] == d and v < hop[u]:
                     hop[u] = v  # lexicographic tie-break
-        return hop
+        routes = self._routes[dst] = {}
+        for u, v in hop.items():  # in distance order, so v is filled first
+            channel = into[v][u]
+            delay, last = routes[v][1:] if v != dst else (0, channel)
+            routes[u] = (v, delay + channel.delay_ps, last)
+        return routes
 
     def compute_routes(self):
-        reverse = {n.name: set() for n in self.nodes}  # receiver -> senders
-        for link in self.links:
-            for ch in link.channels:
-                if isinstance(ch, ClassicalFiberChannel):
-                    reverse[ch.receiver.name].add(ch.sender.name)
-        routes = {}
-        for dst in reverse:
-            for src, hop in self._next_hops_to(reverse, dst).items():
-                routes[(src, dst)] = hop
-        self.classical_routes = routes
-        self._paths.clear()
+        """Forget the routes found so far: each destination's is found
+        again, over the channels installed by then, when next asked."""
+        self._routes.clear()
 
     def next_hop(self, src, dst) -> str | None:
-        return self.classical_routes.get((src, dst))
+        entry = self._routes_to(dst).get(src)
+        return None if entry is None else entry[0]
 
     def path_toward(self, src, dst) -> tuple:
         """(delay ps, last channel) of the classical path that hop-by-hop
         forwarding takes from node `src` to the node named `dst`."""
-        hops, node = [], src  # walk to dst or to a node whose rest is known
-        while (node, dst) not in self._paths and (not hops or node.name != dst):
-            hop = self.next_hop(node.name, dst)
-            if hop is None:  # dst is unreachable or src itself
-                raise LookupError(f"no classical path from {src.name!r} to {dst!r}")
-            hops.append(self.channel_between(node, self._by_name[hop],
-                                             ClassicalFiberChannel))
-            node = hops[-1].receiver
-        delay, last = self._paths.get((node, dst)) or (0, hops[-1])
-        for channel in reversed(hops):
-            delay += channel.delay_ps
-            self._paths[channel.sender, dst] = (delay, last)
-        return self._paths[src, dst]
+        entry = self._routes_to(dst).get(src.name)
+        if entry is None:  # dst is unreachable or src itself
+            raise LookupError(f"no classical path from {src.name!r} to {dst!r}")
+        return entry[1:]
 
     def route(self, src, dst):
         """Full node-name path src..dst, or None when unreachable."""
-        if src == dst:
-            return [src]
+        routes = self._routes_to(dst)
         path = [src]
-        cur = src
-        while cur != dst:
-            nxt = self.next_hop(cur, dst)
-            if nxt is None:
+        while path[-1] != dst:
+            entry = routes.get(path[-1])
+            if entry is None:
                 return None
-            path.append(nxt)
-            cur = nxt
+            path.append(entry[0])
         return path
-
-    def _init(self):
-        self.compute_routes()

@@ -25,37 +25,35 @@ class QubitManager:
 
     def __init__(self, rng=None):
         self.state = StateVector(0)
-        self.positions = {}  # qubit id -> register position in self.state
+        self.qubits = []  # live qubit ids; a qubit's register is its index
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._ids = itertools.count()
 
     def new_qubit(self):
         qid = next(self._ids)
         self.state.append_qubit()
-        self.positions[qid] = self.state.n - 1
+        self.qubits.append(qid)
         return qid
 
     def apply(self, gate, qubits, params=None):
-        regs = [self.positions[q] for q in qubits]
+        regs = [self.qubits.index(q) for q in qubits]
         self.state.apply(gate_matrix(gate, params), regs)
 
     def measure(self, qubit) -> int:
-        pos = self.positions.pop(qubit)
+        pos = self.qubits.index(qubit)
+        del self.qubits[pos]
         bit = self.state.sample_bit(pos, self.rng)
         self.state.remove_qubit(pos, bit)
-        for q, p in self.positions.items():
-            if p > pos:
-                self.positions[q] = p - 1
         return bit
 
     def qubit_state(self, qubits) -> StateVector:
         """Reduced state of the given qubits; they must be unentangled
         with everything else (all other qubits measured)."""
-        if set(qubits) != set(self.positions):
+        if set(qubits) != set(self.qubits):
             raise ValueError("remaining qubits do not match the request")
         # permute so that qubits appear in the requested order
         psi = self.state.amps.reshape((2,) * self.state.n)
-        order = [self.positions[q] for q in qubits]  # register of each requested qubit
+        order = [self.qubits.index(q) for q in qubits]  # register of each requested qubit
         axes = [self.state.n - 1 - r for r in reversed(order)]
         psi = np.transpose(psi, axes)
         return StateVector(amplitudes=psi.reshape(-1))

@@ -245,7 +245,8 @@ def _bfs_hops_from(adj, src):
              .filter(lambda e: e[0] != e[1]), max_size=3 * n, unique=True))))
 def test_routes_match_brute_force_bfs(graph):
     """Directed random graphs: every next hop starts a shortest path, and
-    among those it is the lexicographically smallest neighbour."""
+    among those it is the lexicographically smallest neighbour; a node
+    that cannot reach dst, or is dst, has none."""
     n, arcs = graph
     names = [f"n{i}" for i in range(n)]
     env = SimEnv("routes")
@@ -262,13 +263,12 @@ def test_routes_match_brute_force_bfs(graph):
     adj = {name: sorted({names[b] for a, b in arcs if names[a] == name})
            for name in names}
     hops = {name: _bfs_hops_from(adj, name) for name in names}
-    expected = {}
     for src in names:
-        for dst, d in hops[src].items():
-            if dst != src:
-                expected[(src, dst)] = min(v for v in adj[src]
-                                           if hops[v].get(dst) == d - 1)
-    assert net.classical_routes == expected
+        for dst in names:
+            d = hops[src].get(dst)
+            expected = None if d in (None, 0) else min(
+                v for v in adj[src] if hops[v].get(dst) == d - 1)
+            assert net.next_hop(src, dst) == expected
 
 
 # ---- lookups --------------------------------------------------------------
@@ -340,8 +340,8 @@ def test_channel_between_missing_raises_and_is_not_cached(env):
 
 def test_path_toward_follows_routes_computed_again(env):
     net = Network("n", env=env)
-    a, b, c = (Node(name, env=env) for name in "ABC")
-    for node in (a, b, c):
+    a, b, c, d = (Node(name, env=env) for name in "ABCD")
+    for node in (a, b, c, d):
         net.install_node(node)
 
     def connect(s, r, km):
@@ -353,15 +353,20 @@ def test_path_toward_follows_routes_computed_again(env):
 
     connect(a, b, 1.0)
     b_to_c = connect(b, c, 2.0)
+    c_to_d = connect(c, d, 3.0)
     env.init()
     for _ in range(2):  # the second round is served from the memo
         assert net.path_toward(a, "C") == (15_000_000, b_to_c)
-        assert net.path_toward(b, "C") == (10_000_000, b_to_c)  # memoised on the way
+        assert net.path_toward(b, "C") == (10_000_000, b_to_c)
     for src, dst in ((c, "A"), (a, "A")):
         with pytest.raises(LookupError, match="no classical path"):
             net.path_toward(src, dst)
     a_to_c = connect(a, c, 4.0)
-    assert net.path_toward(a, "C") == (15_000_000, b_to_c)  # routes not yet recomputed
+    # routes toward a destination are those of the channels when it is first
+    # asked: C was asked before the new link, D only after it
+    assert net.path_toward(a, "C") == (15_000_000, b_to_c)
+    assert net.route("A", "D") == ["A", "C", "D"]
+    assert net.path_toward(a, "D") == (35_000_000, c_to_d)
     net.compute_routes()
     assert net.path_toward(a, "C") == (20_000_000, a_to_c)
 
