@@ -1,9 +1,6 @@
 from .register import RegisterUnit, LocalRegister
 from .script import LocalOp, Transmit, ClassicalSend, load_script, dump_script
 from .compile import (
-    compile_single,
-    compile_double,
-    compile_transmit,
     compile_protocol,
     defer_measurements,
     CompileError,
@@ -17,9 +14,6 @@ __all__ = [
     "ClassicalSend",
     "load_script",
     "dump_script",
-    "compile_single",
-    "compile_double",
-    "compile_transmit",
     "compile_protocol",
     "defer_measurements",
     "CompileError",

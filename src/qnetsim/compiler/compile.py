@@ -25,64 +25,43 @@ class CompileError(ValueError):
         self.index = index
 
 
-def _resolve_cond(op: LocalOp, knowledge):
-    if op.cond is None:
-        return None
-    known = knowledge.setdefault(op.node, {})
-    ref = tuple(op.cond)
-    if ref not in known:
-        raise CompileError(
-            f"node {op.node!r} conditions on unmeasured or unknown outcome {ref}")
-    return known[ref]
-
-
-def _check_unit_operable(unit, op):
-    if unit.outcome is not None and unit.qubit is not None:
-        raise CompileError(
-            f"node {op.node!r} operates on measured unit at address {unit.address}")
-
-
-def compile_single(op: LocalOp, reg: LocalRegister, circuit: Circuit,
-                   knowledge=None) -> Circuit:
-    """Compile a one-address local operation (measurement included)."""
-    knowledge = knowledge if knowledge is not None else {}
-    unit = reg[op.addr]
-    _check_unit_operable(unit, op)
-    if unit.qubit is None:
-        unit.qubit = circuit.width
-    cond = _resolve_cond(op, knowledge)
-    circuit.append(CircuitInstruction(op.name, (unit.qubit,), op.params, cond))
+def _compile_local(op: LocalOp, reg: LocalRegister, circuit: Circuit, knowledge):
+    """Compile a local operation on one address, or on two with the control
+    first; its fresh units take the next global registers in that order."""
+    if op.is_double:
+        addr0, addr1 = op.addr
+        if addr0 == addr1:
+            raise CompileError(
+                f"two-qubit operation needs distinct addresses, got {op.addr}")
+        units = (reg[addr0], reg[addr1])
+    else:
+        units = (reg[op.addr],)
+    fresh = circuit.width
+    regs = ()
+    for unit in units:
+        if unit.qubit is None:
+            unit.qubit = fresh
+            fresh += 1
+        elif unit.outcome is not None:
+            raise CompileError(
+                f"node {op.node!r} operates on measured unit at address {unit.address}")
+        regs += (unit.qubit,)
+    cond = op.cond
+    if cond is not None:
+        known, ref = knowledge[op.node], tuple(cond)
+        if ref not in known:
+            raise CompileError(
+                f"node {op.node!r} conditions on unmeasured or unknown outcome {ref}")
+        cond = known[ref]
+    circuit.append(CircuitInstruction(op.name, regs, op.params, cond))
     if op.name == "measure":
         unit.outcome = unit.qubit
-        knowledge.setdefault(op.node, {})[(op.node, op.addr)] = unit.qubit
-    return circuit
+        knowledge[op.node][op.node, op.addr] = unit.qubit
 
 
-def compile_double(op: LocalOp, reg: LocalRegister, circuit: Circuit,
-                   knowledge=None) -> Circuit:
-    """Compile a two-address local operation; control address first."""
-    knowledge = knowledge if knowledge is not None else {}
-    addr0, addr1 = op.addr
-    if addr0 == addr1:
-        raise CompileError(f"two-qubit operation needs distinct addresses, got {op.addr}")
-    unit0, unit1 = reg[addr0], reg[addr1]
-    _check_unit_operable(unit0, op)
-    _check_unit_operable(unit1, op)
-    fresh = circuit.width
-    if unit0.qubit is None:
-        unit0.qubit = fresh
-        fresh += 1
-    if unit1.qubit is None:
-        unit1.qubit = fresh
-    cond = _resolve_cond(op, knowledge)
-    circuit.append(CircuitInstruction(op.name, (unit0.qubit, unit1.qubit),
-                                      op.params, cond))
-    return circuit
-
-
-def compile_transmit(op: Transmit, registers: dict) -> dict:
+def _compile_transmit(op: Transmit, registers):
     """Move qubit ownership from src to dst; the circuit is untouched."""
-    src_reg = registers[op.src]
+    src_reg, dst_reg = registers[op.src], registers[op.dst]
     unit = src_reg[op.addr]
     if unit.qubit is None:
         raise CompileError(
@@ -90,43 +69,37 @@ def compile_transmit(op: Transmit, registers: dict) -> dict:
     qmsg = unit.qubit
     unit.reset()
     unit.outcome = None
-    dst_unit = registers[op.dst].first_empty()
+    dst_unit = dst_reg.first_empty()
     dst_unit.qubit = qmsg
     dst_unit.identifier = op.src
-    return registers
 
 
 def _compile_classical(op: ClassicalSend, knowledge):
-    known_src = knowledge.setdefault(op.src, {})
+    known_src, known_dst = knowledge[op.src], knowledge[op.dst]
     ref = tuple(op.ref)
     if ref not in known_src:
         raise CompileError(
             f"node {op.src!r} sends outcome {ref} it does not know")
-    knowledge.setdefault(op.dst, {})[ref] = known_src[ref]
+    known_dst[ref] = known_src[ref]
 
 
 def compile_protocol(instructions, nodes, register_size=DEFAULT_REGISTER_SIZE) -> Circuit:
     """Fold a causally ordered protocol script into one dynamic circuit."""
     registers = {node: LocalRegister(node, register_size) for node in nodes}
-    knowledge = {}
+    knowledge = {node: {} for node in registers}  # node -> {(node, addr): register}
     circuit = Circuit()
     for index, op in enumerate(instructions):
         try:
             if isinstance(op, LocalOp):
-                if op.node not in registers:
-                    raise CompileError(f"unknown node {op.node!r}")
-                if op.is_double:
-                    compile_double(op, registers[op.node], circuit, knowledge)
-                else:
-                    compile_single(op, registers[op.node], circuit, knowledge)
+                _compile_local(op, registers[op.node], circuit, knowledge)
             elif isinstance(op, Transmit):
-                if op.src not in registers or op.dst not in registers:
-                    raise CompileError(f"unknown node in transmit {op!r}")
-                compile_transmit(op, registers)
+                _compile_transmit(op, registers)
             elif isinstance(op, ClassicalSend):
                 _compile_classical(op, knowledge)
             else:
                 raise CompileError(f"not a protocol instruction: {op!r}")
+        except KeyError as err:  # each kind looks its nodes up before using them
+            raise CompileError(f"unknown node {err.args[0]!r}", index=index) from None
         except CompileError as err:
             if err.index is None:
                 raise CompileError(str(err), index=index) from None

@@ -98,12 +98,11 @@ class SimEnv:
         heappush(self.fel, (event.time, event.priority, seq, event))
         return event
 
-    def schedule_at(self, time, owner, action, *args, priority=0, **kwargs):
-        return self.schedule(Event(time, owner, action, args, kwargs, priority))
+    def schedule_at(self, time, owner, action, *args, priority=0):
+        return self.schedule(Event(time, owner, action, args, priority))
 
-    def schedule_after(self, delay, owner, action, *args, priority=0, **kwargs):
-        return self.schedule(Event(self.now + delay, owner, action, args, kwargs,
-                                   priority))
+    def schedule_after(self, delay, owner, action, *args, priority=0):
+        return self.schedule(Event(self.now + delay, owner, action, args, priority))
 
     # ---- lifecycle ------------------------------------------------------
     def attach(self, entity):
@@ -136,7 +135,7 @@ class SimEnv:
             trace.append((time, priority, seq, event.handler_name))
             # set before the call: the handler may schedule this event again
             event.executed = True
-            getattr(event.owner, event.action)(*event.args, **event.kwargs)
+            getattr(event.owner, event.action)(*event.args)
             executed += 1
         self.state = EnvState.FINISHED
         if logging and self._log_path is not None:

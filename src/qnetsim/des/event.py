@@ -1,4 +1,4 @@
-"""Events: scheduled calls of a handler.
+"""Events: scheduled calls of a handler, with positional arguments only.
 
 Simulation time is a non-negative integer number of picoseconds.  The
 environment runs events in (time, priority, seq) order: lower priority
@@ -15,15 +15,15 @@ class Event:
     """A scheduled change of system status at a particular time.
 
     The handler is an owning object plus a named action: executing the
-    event calls ``getattr(owner, action)(*args, **kwargs)``.  An event is
+    event calls ``getattr(owner, action)(*args)``.  An event is
     in the future event list at most once; once executed, it may be
     scheduled again with a new ``time``, so a periodic loop reuses one.
     """
 
     __slots__ = ("time", "priority", "seq", "owner", "action", "args",
-                 "kwargs", "cancelled", "executed", "handler_name")
+                 "cancelled", "executed", "handler_name")
 
-    def __init__(self, time, owner, action, args=(), kwargs=None, priority=0):
+    def __init__(self, time, owner, action, args=(), priority=0):
         if time < 0:
             raise ValueError(f"event time must be non-negative, got {time}")
         self.time = int(time)
@@ -32,7 +32,6 @@ class Event:
         self.owner = owner
         self.action = action
         self.args = tuple(args)
-        self.kwargs = dict(kwargs) if kwargs else {}
         self.cancelled = False
         self.executed = False
         owner_name = getattr(owner, "name", type(owner).__name__)

@@ -1,17 +1,23 @@
 """Network, nodes and links.
 
-A Network owns nodes and links and routes over its classical channels
-by minimum hop count; equal-length alternatives are broken toward the
-lexicographically smallest next hop.  The routes toward a destination
-are found by one BFS the first time that destination is asked, over the
-channels installed by then, and kept until `compute_routes` clears them.
+A Network owns nodes and links and keeps one channel table.  A channel
+enters it when it is installed on a link the network holds, and the
+channels a link already holds enter when the link is installed.  One
+rule fills it: the first channel installed from a sender to a receiver
+carries that direction's traffic of its kind.  `channel_between` reads
+the table, and routing walks the classical channels it holds.  When two
+links join one pair, a direction's channel is thus the first installed
+on either link, whatever the link order; no scenario, topology or demo
+installs such channels out of link order.
+
+Routes go over the classical channels by minimum hop count;
+equal-length alternatives are broken toward the lexicographically
+smallest next hop.  The routes toward a destination are found by one
+BFS the first time that destination is asked, over the channels
+installed by then, and kept until `compute_routes` clears them.
 Hop-by-hop messages go to a neighbour that the sender names (a key
 request's hop map is `route`); `path_toward` gives the delay and last
-channel of a whole path.
-
-Node lookups by name go through a dict, and channel lookups are
-memoised per (sender, receiver, kind): nodes, links and channels are
-only ever added, so a channel once found stays the answer.
+channel of a whole path.  Node lookups by name go through a dict.
 """
 
 from __future__ import annotations
@@ -60,15 +66,18 @@ class Link(Entity):
         super().__init__(name, env)
         self.ends = tuple(ends) if ends else None
         self.channels = []
+        self.network = None
 
     def install_channel(self, channel: Channel):
         self.install(channel)
         if self.ends is None:
             raise RuntimeError(f"link {self.name!r} has no endpoints")
-        if {channel.sender, channel.receiver} - set(self.ends):
+        if {channel.sender, channel.receiver} != set(self.ends):
             raise ValueError(
                 f"channel {channel.name!r} endpoints are not the ends of link {self.name!r}")
         self.channels.append(channel)
+        if self.network is not None:
+            self.network._index(channel)
 
 
 class Network(Entity):
@@ -77,7 +86,8 @@ class Network(Entity):
         self.nodes = []
         self.links = []
         self._by_name = {}  # node name -> node
-        self._channels = {}  # (sender, receiver, kind) -> channel, filled on lookup
+        self._channels = {}  # (sender, receiver, kind) -> the first such channel installed
+        self._into = {}  # receiver name -> {sender name: its classical channel}
         self._routes = {}  # destination name -> its routes, filled when first asked
 
     def install_node(self, node: Node):
@@ -90,11 +100,27 @@ class Network(Entity):
 
     def install_link(self, link: Link):
         self.install(link)
-        for end in link.ends:
+        ends = link.ends or ()
+        if len(ends) != 2 or ends[0] is ends[1]:
+            raise ValueError(f"link {link.name!r} needs two distinct ends, got {link.ends!r}")
+        for end in ends:
             if self._by_name.get(end.name) is not end:
                 raise ValueError(
                     f"link {link.name!r} endpoint {end.name!r} is not installed")
+        link.network = self
         self.links.append(link)
+        for channel in link.channels:
+            self._index(channel)
+
+    def _index(self, channel):
+        """Enter `channel` under each channel class it is an instance of,
+        unless an earlier channel holds that (sender, receiver, kind)."""
+        sender, receiver = channel.sender, channel.receiver
+        for kind in type(channel).__mro__:
+            if issubclass(kind, Channel):
+                self._channels.setdefault((sender, receiver, kind), channel)
+        if isinstance(channel, ClassicalFiberChannel):
+            self._into.setdefault(receiver.name, {}).setdefault(sender.name, channel)
 
     def node(self, name) -> Node:
         try:
@@ -103,20 +129,11 @@ class Network(Entity):
             raise KeyError(f"no node named {name!r}") from None
 
     def channel_between(self, src, dst, kind):
-        key = (src, dst, kind)
-        channel = self._channels.get(key)
-        if channel is None:
-            channel = self._channels[key] = self._find_channel(src, dst, kind)
-        return channel
-
-    def _find_channel(self, src, dst, kind):
-        for link in self.links:
-            if set(link.ends) == {src, dst}:
-                for ch in link.channels:
-                    if isinstance(ch, kind) and ch.sender is src and ch.receiver is dst:
-                        return ch
-        raise LookupError(
-            f"no {kind.__name__} from {src.name!r} to {dst.name!r}")
+        try:
+            return self._channels[src, dst, kind]
+        except KeyError:
+            raise LookupError(
+                f"no {kind.__name__} from {src.name!r} to {dst.name!r}") from None
 
     # ---- routing --------------------------------------------------------
     def _routes_to(self, dst):
@@ -126,11 +143,7 @@ class Network(Entity):
         routes = self._routes.get(dst)
         if routes is not None:
             return routes
-        into = {}  # receiver -> {sender: the channel that channel_between finds}
-        for link in self.links:
-            for ch in link.channels:
-                if isinstance(ch, ClassicalFiberChannel):
-                    into.setdefault(ch.receiver.name, {}).setdefault(ch.sender.name, ch)
+        into = self._into
         dist = {dst: 0}
         hop = {}
         queue = deque([dst])

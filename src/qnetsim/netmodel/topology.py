@@ -15,6 +15,7 @@ Distances are km, losses dB, frequencies Hz.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 from .channel import (ClassicalFiberChannel, FreeSpaceChannel,
@@ -51,8 +52,10 @@ def _build_channel(link_name, spec, nodes, env):
         raise TopologyError(
             f"link {link_name!r} channel references unknown node {missing}") from None
     distance = spec.get("distance_km", 0.0)
-    if distance < 0:
-        raise TopologyError(f"negative distance on link {link_name!r}")
+    if (isinstance(distance, bool) or not isinstance(distance, (int, float))
+            or not 0 <= distance < math.inf):
+        raise TopologyError(f"distance_km on link {link_name!r} must be a finite "
+                            f"number >= 0, got {distance!r}")
     name = spec.get("name", f"{link_name}.{kind}.{spec['sender']}->{spec['receiver']}")
     if kind == "classical-fiber":
         return ClassicalFiberChannel(name, sender, receiver, distance, env=env)
@@ -95,9 +98,12 @@ def load_topology_from(doc, env=None, name="network") -> Network:
         for end in ends:
             if end not in nodes:
                 raise TopologyError(f"link references unknown node {end!r}")
-        lname = lspec.get("name", f"link{i}:{ends[0]}-{ends[1]}")
-        link = Link(lname, ends=(nodes[ends[0]], nodes[ends[1]]), env=env)
-        network.install_link(link)
-        for cspec in lspec.get("channels", []):
-            link.install_channel(_build_channel(lname, cspec, nodes, env))
+        lname = lspec.get("name", f"link{i}:{'-'.join(ends)}")
+        try:  # the network and the link check ends and channel endpoints
+            link = Link(lname, ends=[nodes[end] for end in ends], env=env)
+            network.install_link(link)
+            for cspec in lspec.get("channels", []):
+                link.install_channel(_build_channel(lname, cspec, nodes, env))
+        except ValueError as err:
+            raise TopologyError(str(err)) from None
     return network

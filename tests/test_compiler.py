@@ -142,6 +142,17 @@ def test_unknown_node_fails_with_index():
         compile_protocol([LocalOp("a", "h", 0), LocalOp("zz", "h", 0)], ["a"])
 
 
+@pytest.mark.parametrize("last", [ClassicalSend("a", "zz", ("a", 0)),
+                                  ClassicalSend("zz", "a", ("a", 0)),
+                                  Transmit("a", "zz", 1),
+                                  Transmit("zz", "a", 0)])
+def test_every_instruction_kind_rejects_an_unknown_node(last):
+    script = [LocalOp("a", "h", 0), LocalOp("a", "measure", 0), LocalOp("a", "h", 1),
+              last]
+    with pytest.raises(CompileError, match="instruction 3: unknown node 'zz'"):
+        compile_protocol(script, ["a"])
+
+
 def test_teleport_compiles_to_three_registers():
     circ = compile_protocol(teleport_script(0.3), NODES)
     assert circ.width == 3

@@ -1,7 +1,8 @@
 """Golden outputs: a fixed (config, seed) must keep writing the same bytes.
 
 The digests pin `results.csv`, `pools.csv` and `trace.log` of five
-key-pool scenarios.  A change that only makes the simulator faster must
+key-pool scenarios, and `results.csv` of the default chsh, bb84 and
+satellite configs at two seeds each.  A change that only makes the simulator faster must
 leave every digest as it is; a change that moves an event, a sequence
 number or a random draw changes at least one of them, and must say so
 and update the digests on purpose.  A change that only drops events
@@ -71,13 +72,33 @@ GOLDEN = [
         "pools.csv": "6ecb95e9eb59d5d8997706fe34e68c13fa9b24711f6c4e05a36f1e0572aa2532",
         "trace.log": "e9b142e86e903a1ad154d4e95f4adceddb71ac34182129f09758bb9f0456b25c",
     }),
+    ({"scenario": "chsh"}, 11, {
+        "results.csv": "05407ef313797da1a2b1f357c1eb367581023d29f03ac7738d852ef5f43313af",
+    }),
+    ({"scenario": "chsh"}, 2024, {
+        "results.csv": "214c46afbe11522a758af93fa683caa83c8f310688efe2c7f3daa9aaf5a8f4b2",
+    }),
+    ({"scenario": "bb84"}, 11, {
+        "results.csv": "1126a6683f435cc53227203a4ecb600526e77498502ecfdd1780269517150ee2",
+    }),
+    ({"scenario": "bb84"}, 2024, {
+        "results.csv": "baba591ae582455b2352de9d3f6cfb296be8197dd93b80736b94f7dafb5eb19f",
+    }),
+    ({"scenario": "satellite"}, 11, {
+        "results.csv": "4b8231af9f0302c1af8824ba2348d47ac10f007d4db2c46562e8144254b6672d",
+    }),
+    ({"scenario": "satellite"}, 2024, {
+        "results.csv": "db3b3d52de315d53061d96f90db34efff02dc70441b3946de32fbfcb8a522789",
+    }),
 ]
 
 
 @pytest.mark.parametrize("config,seed,digests", GOLDEN,
                          ids=["keypool-acceptance", "chain16", "chain64",
                               "keypool-hop-equals-interval",
-                              "keypool-hop-equals-interval-small"])
+                              "keypool-hop-equals-interval-small",
+                              "chsh-11", "chsh-2024", "bb84-11", "bb84-2024",
+                              "satellite-11", "satellite-2024"])
 def test_scenario_outputs_match_golden_digests(tmp_path, config, seed, digests):
     run_scenario(config, seed, tmp_path)
     got = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()

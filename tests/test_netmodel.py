@@ -315,6 +315,28 @@ def test_entities_of_another_environment_are_not_installed(env):
     assert net.links == [link]
 
 
+@pytest.mark.parametrize("ends", [None, "A", "AA", "ABC"])
+def test_install_link_needs_two_distinct_installed_ends(env, ends):
+    net, a, b, link, _chans = _pair(env)
+    c = Node("C", env=env)
+    net.install_node(c)
+    by_name = {"A": a, "B": b, "C": c}
+    bad = Link("bad", ends=ends and [by_name[name] for name in ends], env=env)
+    with pytest.raises(ValueError, match="link 'bad' needs two distinct ends"):
+        net.install_link(bad)
+    assert net.links == [link] and bad.network is None
+
+
+def test_link_refuses_a_channel_whose_sender_is_its_receiver(env):
+    net, a, _b, link, _chans = _pair(env)
+    loop = ClassicalFiberChannel("c:A->A", a, a, 1.0, env=env)
+    with pytest.raises(ValueError, match="are not the ends of link 'A-B'"):
+        link.install_channel(loop)
+    assert loop not in link.channels
+    with pytest.raises(LookupError):
+        net.channel_between(a, a, ClassicalFiberChannel)
+
+
 def test_channel_between_picks_direction_and_kind(env):
     net, a, b, _link, chans = _pair(env)
     for _ in range(2):  # the second round is served from the memo
@@ -374,37 +396,81 @@ def test_path_toward_follows_routes_computed_again(env):
 @settings(deadline=None, max_examples=60)
 @given(st.integers(1, 7).flatmap(lambda n: st.tuples(
     st.just(n),
-    st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
-                    .filter(lambda e: e[0] != e[1]),
-                    st.floats(0.0, 50.0), max_size=3 * n),
-    st.permutations([(s, d) for s in range(n) for d in range(n)]))))
-def test_path_toward_sums_the_route_delays_in_any_query_order(graph):
-    """Directed random graphs with random lengths: the path of every pair,
-    queried in any order, is (the sum of the channel delays along `route`,
-    the channel into dst); dst unreachable or src itself raises."""
+    # (sender, receiver, km, quantum?, when installed); an arc may repeat
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                       st.floats(0.0, 50.0), st.booleans(), st.integers(0, 3))
+             .filter(lambda arc: arc[0] != arc[1]), max_size=3 * n),
+    st.permutations([(s, d) for s in range(n) for d in range(n)]))), st.data())
+def test_path_toward_sums_the_route_delays_in_any_query_order(graph, data):
+    """Directed random graphs, each arc on a link of its own, some arcs
+    twice and some quantum: a channel goes on its link before or after the
+    network holds the link, or later in a drawn order, after `env.init()`
+    or after a round of lookups.  After each step, `channel_between` gives
+    the first channel installed from sender to receiver (checked against a
+    scan of the install order), and the path of every pair, queried in any
+    order, is (the sum of those channels' delays along `route`, the
+    channel into dst); dst unreachable or src itself raises."""
     n, arcs, order = graph
     env = SimEnv("paths")
     net = Network("n", env=env)
     nodes = [Node(f"n{i}", env=env) for i in range(n)]
     for node in nodes:
         net.install_node(node)
-    for i, ((a, b), km) in enumerate(arcs.items()):
+    installed = []
+    later = ([], [])  # channels installed after env.init(), after a lookup round
+
+    def install(link, channel):
+        link.install_channel(channel)
+        installed.append(channel)
+
+    for i, (a, b, km, quantum, when) in enumerate(arcs):
         link = Link(f"l{i}", ends=(nodes[a], nodes[b]), env=env)
+        kind = QuantumFiberChannel if quantum else ClassicalFiberChannel
+        channel = kind(f"c{i}", nodes[a], nodes[b], km, env=env)
+        if when == 0:
+            install(link, channel)
         net.install_link(link)
-        link.install_channel(ClassicalFiberChannel(
-            f"c{i}", nodes[a], nodes[b], km, env=env))
+        if when == 1:
+            install(link, channel)
+        elif when > 1:
+            later[when - 2].append((link, channel))
+
+    def first_installed(u, v, kind):
+        return next((c for c in installed if isinstance(c, kind)
+                     and c.sender is u and c.receiver is v), None)
+
+    def check_lookups():
+        net.compute_routes()
+        adj = {u.name: sorted({v.name for v in nodes
+                               if first_installed(u, v, ClassicalFiberChannel)})
+               for u in nodes}
+        for s, d in order:
+            src, dst = nodes[s], nodes[d]
+            for kind in (ClassicalFiberChannel, QuantumFiberChannel):
+                expected = first_installed(src, dst, kind)
+                if expected is None:
+                    with pytest.raises(LookupError, match=f"no {kind.__name__}"):
+                        net.channel_between(src, dst, kind)
+                else:
+                    assert net.channel_between(src, dst, kind) is expected
+            path = net.route(src.name, dst.name)
+            hops = _bfs_hops_from(adj, src.name).get(dst.name)
+            assert (path is None) == (hops is None)
+            if path is None or s == d:
+                with pytest.raises(LookupError, match="no classical path"):
+                    net.path_toward(src, dst.name)
+                continue
+            assert len(path) - 1 == hops
+            channels = [first_installed(net.node(u), net.node(v), ClassicalFiberChannel)
+                        for u, v in zip(path, path[1:])]
+            assert net.path_toward(src, dst.name) == (
+                sum(c.delay_ps for c in channels), channels[-1])
+
     env.init()
-    for s, d in order:
-        src, dst = nodes[s], nodes[d].name
-        path = net.route(src.name, dst)
-        if path is None or s == d:
-            with pytest.raises(LookupError, match="no classical path"):
-                net.path_toward(src, dst)
-            continue
-        channels = [net.channel_between(net.node(u), net.node(v), ClassicalFiberChannel)
-                    for u, v in zip(path, path[1:])]
-        assert net.path_toward(src, dst) == (sum(c.delay_ps for c in channels),
-                                             channels[-1])
+    for step in later:
+        for link, channel in data.draw(st.permutations(step)):
+            install(link, channel)
+        check_lookups()
 
 
 # ---- topology documents ---------------------------------------------------
@@ -469,6 +535,21 @@ def test_topology_negative_distance(env):
            "links": [{"ends": ["a", "b"],
                       "channels": [{"kind": "classical-fiber", "sender": "a",
                                     "receiver": "b", "distance_km": -1}]}]}
+    with pytest.raises(TopologyError):
+        load_topology_from(doc, env=env)
+
+
+@pytest.mark.parametrize("link", [
+    {"ends": ["a"]},
+    {"ends": ["a", "a"]},
+    {"ends": ["a", "b", "c"]},
+    {"ends": ["a", "b"], "channels": [{"kind": "classical-fiber", "sender": "a",
+                                       "receiver": "b", "distance_km": "5"}]},
+    {"ends": ["a", "b"], "channels": [{"kind": "classical-fiber", "sender": "a",
+                                       "receiver": "a", "distance_km": 1}]},
+], ids=["one-end", "same-end-twice", "three-ends", "distance-as-text", "self-loop"])
+def test_topology_malformed_link(env, link):
+    doc = {"nodes": [{"name": "a"}, {"name": "b"}, {"name": "c"}], "links": [link]}
     with pytest.raises(TopologyError):
         load_topology_from(doc, env=env)
 
