@@ -45,6 +45,14 @@ KEYPOOL_HOP_EQUALS_INTERVAL = {**KEYPOOL_ACCEPTANCE, "distance_km": 4.0}
 # The same with pools of 20 keys: requests wait for keys, and the messages
 # that a new key's wake-ups send do arrive between two pools' keys.
 KEYPOOL_HOP_EQUALS_INTERVAL_SMALL = {**KEYPOOL_HOP_EQUALS_INTERVAL, "capacity": 20}
+# The acceptance config with a hop of half an interval (2 km) and of two
+# intervals (8 km): a message sent at one keygen instant arrives between two
+# instants, or with the clock of the instant after next already armed.
+KEYPOOL_HOP_HALF_INTERVAL = {**KEYPOOL_ACCEPTANCE, "distance_km": 2.0}
+KEYPOOL_HOP_TWO_INTERVALS = {**KEYPOOL_ACCEPTANCE, "distance_km": 8.0}
+# CHAIN16 with pools of 12 keys: a request of 10 keys drains a pool to
+# replenishing, so repeaters with three pools queue requests behind others.
+CHAIN16_SMALL = {**CHAIN16, "capacity": 12}
 
 GOLDEN = [
     (KEYPOOL_ACCEPTANCE, 2212, {
@@ -72,6 +80,18 @@ GOLDEN = [
         "pools.csv": "6ecb95e9eb59d5d8997706fe34e68c13fa9b24711f6c4e05a36f1e0572aa2532",
         "trace.log": "e9b142e86e903a1ad154d4e95f4adceddb71ac34182129f09758bb9f0456b25c",
     }),
+    (KEYPOOL_HOP_HALF_INTERVAL, 2002, {
+        "results.csv": "3a283ed39a84d911e34125555cd64146de502ee9d95047afcdf1620c180ed6fe",
+        "pools.csv": "d0656629a3a7dc5cb9b9cd535ad26f123a0ee6c779c62e24c017c9f17a023688",
+    }),
+    (KEYPOOL_HOP_TWO_INTERVALS, 8008, {
+        "results.csv": "d169869189d9d5975b9be620c7fa583f870b7d909af7433494911dd8c5f701b6",
+        "pools.csv": "a32f2fb691cd8d14bd2f1317e8d620c384b8593d22ab4cb078559a95e1dc5070",
+    }),
+    (CHAIN16_SMALL, 1212, {
+        "results.csv": "bf1988b3e84fdc0d598fa194143041e52fa6dd693d88e8d86f3bea2c3288583a",
+        "pools.csv": "0f8123b4dc3edcf65b90b76ac389d55478c65e2af4cbd3874024a934e4e585d4",
+    }),
     ({"scenario": "chsh"}, 11, {
         "results.csv": "05407ef313797da1a2b1f357c1eb367581023d29f03ac7738d852ef5f43313af",
     }),
@@ -97,6 +117,8 @@ GOLDEN = [
                          ids=["keypool-acceptance", "chain16", "chain64",
                               "keypool-hop-equals-interval",
                               "keypool-hop-equals-interval-small",
+                              "keypool-hop-half-interval", "keypool-hop-two-intervals",
+                              "chain16-small",
                               "chsh-11", "chsh-2024", "bb84-11", "bb84-2024",
                               "satellite-11", "satellite-2024"])
 def test_scenario_outputs_match_golden_digests(tmp_path, config, seed, digests):
