@@ -35,10 +35,11 @@ class LocalRegister:
 
     def __getitem__(self, address) -> RegisterUnit:
         try:
-            return self.units[address]
-        except IndexError:
-            raise IndexError(
-                f"node {self.node!r} has no register unit at address {address}") from None
+            if address >= 0:  # a negative index would count from the end
+                return self.units[address]
+        except (IndexError, TypeError):
+            pass
+        raise ValueError(f"node {self.node!r} has no register unit at address {address!r}")
 
     def __len__(self):
         return len(self.units)
@@ -47,4 +48,4 @@ class LocalRegister:
         for unit in self.units:
             if unit.qubit is None:
                 return unit
-        raise RuntimeError(f"local register of node {self.node!r} is full")
+        raise ValueError(f"local register of node {self.node!r} is full")

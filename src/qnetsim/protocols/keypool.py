@@ -35,6 +35,7 @@ class KeyPool:
         self.delivered = 0
         self._reservations = {}  # request id -> delivered keys, readable once more
         self._ahead = []  # keys drawn but not yet used, last one first
+        self.on_room = None  # called after a delivery from a full pool
 
     @property
     def v_current(self) -> int:
@@ -73,16 +74,21 @@ class KeyPool:
         """Pop `count` keys, or None as a backpressure signal.
 
         Dropping below V_i afterwards switches the pool to replenishing.
+        A delivery from a full pool then calls `on_room`, if set: the
+        keygen clock that sleeps while its pools are full hangs there.
         """
         if count > self.v_max:
             raise ValueError(
                 f"request for {count} keys exceeds pool capacity {self.v_max}")
         if not self.can_serve(count):
             return None
+        was_full = len(self.keys) >= self.v_max
         keys = [self.keys.popleft() for _ in range(count)]
         self.delivered += count
         if self.v_current < self.v_interrupt:
             self.status = "replenishing"
+        if was_full and self.on_room is not None:
+            self.on_room()
         return keys
 
     def can_take_for(self, request_id, count) -> bool:

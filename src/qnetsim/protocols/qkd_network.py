@@ -6,40 +6,48 @@ The key network has four layers, each a direct call into the next:
 - resource management: each `QKDNode`'s `QKDRMP` queues requests, takes
   keys from the pools it shares with its neighbours and sends messages;
 - routing: the `Network`'s next-hop table, from which the source builds
-  a request's hop map and relay-only messages take their delay;
+  a request's hop map and express messages take their delay;
 - key generation: a `KeyClock` fills battery-like pools, each shared by
   the two endpoints of a segment.
-The keygen clock adds a key to every pool at each interval (a full pool
-drops it), and an added key wakes the resource managers of its segment
-that wait for keys.  A repeater serves
-a request by taking keys from its upstream and downstream pools and
-relaying the one-time-pad ciphertext c = k_up XOR k_down to the
+At each interval the keygen clock adds a key to every pool with room; it
+sleeps while every pool it drives is full, and the first delivery from a
+full pool wakes it at its next instant on the same grid.  An added key
+wakes a resource manager of its segment only when that manager can now
+serve a request it holds: the head of its queue, when both of the head's
+pools can serve it, or one of its waiting endnode requests.  A repeater
+serves a request by taking keys from its upstream and downstream pools
+and relaying the one-time-pad ciphertext c = k_up XOR k_down to the
 destination, which unwinds the chain of ciphertexts to recover the
 sender-side key.
 
 Request lifecycle: the source issues a request toward the destination;
-repeaters forward it, and any node that receives it rejects it when a
-pool it takes from can never hold enough keys; the destination returns
-an acceptance; repeaters process or queue the
-request depending on their pools; ciphertexts flow to the destination,
-which combines everything into the end-to-end key and propagates a done
-message back to the source.
+the first node on the path that would take from a pool that can never
+hold enough keys rejects it, or else the destination returns an
+acceptance; repeaters process or queue the request depending on their
+pools; ciphertexts flow to the destination, which combines everything
+into the end-to-end key and propagates a done message back to the
+source.
 
 The source routes a request once into its hop map, `request.hops` =
 {node: (upstream, downstream)} with None beyond either end, from which
 each node learns the pools that serve it (an endpoint's is on the side
-that is not None).  REQUEST goes hop by hop to each entry's downstream
-neighbour, and ACCEPT retraces the path to each upstream one, so its
-repeaters see it even where the route back to the source differs.
-REJECT, CIPHERTEXT and DONE are relay-only: each is one event at the end
-that reads it, due when hop-by-hop forwarding would bring it there.
+that is not None).  A node on the path reads only static capacities
+from a REQUEST, so REQUEST is one event, at the first node whose
+fail-fast check fails or else at the destination.  ACCEPT retraces the
+path hop by hop to each upstream neighbour, so its repeaters see it even
+where the route back to the source differs.  REJECT, CIPHERTEXT and DONE
+are relay-only: each is one event at the end that reads it.  An express
+message (REQUEST or relay-only) is due when hop-by-hop forwarding would
+bring it there and is sent from its last hop.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
+from itertools import accumulate
 
-from ..des import Event
+from ..des import EnvState, Event
 from ..netmodel.channel import ClassicalFiberChannel, QuantumFiberChannel
 from ..netmodel.network import Link, Network, Node
 from .keypool import KeyPool
@@ -55,7 +63,16 @@ def xor_keys(a: str, b: str) -> str:
 
 
 def xor_key_lists(ka, kb):
-    return [xor_keys(x, y) for x, y in zip(ka, kb)]
+    """Keywise XOR of two lists of '0'/'1' keys, as one integer XOR over
+    each list joined into one string, sliced back into keys."""
+    lengths = list(map(len, ka))
+    if lengths != list(map(len, kb)):
+        raise ValueError("key lengths differ")
+    a = "".join(ka)
+    if not a:
+        return list(ka)
+    bits = format(int(a, 2) ^ int("".join(kb), 2), f"0{len(a)}b")
+    return [bits[end - n:end] for end, n in zip(accumulate(lengths), lengths)]
 
 
 @dataclass
@@ -84,24 +101,64 @@ class KeyRequest:
 
 
 class KeyClock:
-    """Key generation: every `interval_ps`, one key for each of its pools.
+    """Key generation: at each instant `start + k * interval_ps`, a key for
+    each of its pools that has room.
 
     At each instant the clock walks its `(node, peer, pool)` generators in
     order, has `node` generate a key toward `peer` into every pool below
-    its capacity (`QKDNode.keygen_tick`), then re-arms its one event.
+    its capacity (`QKDNode.keygen_tick`), then re-arms its one event.  When
+    every pool it drives is full after the walk it sleeps instead, and the
+    first delivery from one of those pools (`KeyPool.on_room`) arms it at
+    its next instant on the same grid (`KeyDistributionNetwork._wake`).
+    An instant at which every pool is full adds no key, draws no random
+    number and wakes no resource manager, so only the trace misses it.
 
     Why one clock for all pools keeps every event that touches a pool in
     its order and every random draw in its place: with one timer per pool,
     started together in generator order and each re-armed after its own
     key, the timers due at T + I are all scheduled during instant T, and
-    between two re-arms only the wake-ups of a key run.  These send
-    first-hop messages due at T + D for a channel delay D, and relay-only
-    messages, which touch no pool, due at T + their path delay.  Unless
-    some D equals the interval I, the timers of an instant thus form one
-    block with no pool-touching event run inside it, and one event
-    re-armed after the block's last key pops where the block would.  When
-    some D equals I, first-hop messages pop inside the block, so the
-    network gives each pool a clock of its own: one timer per pool again.
+    between two re-arms only the wake-ups of a key run.  These send only
+    relay-only messages (CIPHERTEXT, DONE), which touch no pool, queue or
+    waiter, due at T + their path delay.  Unless some channel delay equals
+    the interval I, the timers of an instant thus form one block with no
+    other event run inside it, and one event re-armed after the block's
+    last key pops where the block would.  When some delay equals I, those
+    messages pop inside the block, so the network gives each pool a clock
+    of its own, which keeps the order of one timer per pool.
+
+    The events that touch a pool are the keygen instants and, for each
+    request, its REQUEST at the destination and its ACCEPT hops, due at
+    its issue time plus sums of hop delays.  Those of a request fall on a
+    keygen instant, or on the picosecond of another request's REQUEST or
+    ACCEPT, only when issue times line up to the picosecond, which times
+    drawn over a span of many intervals almost never do; the arguments
+    below hold when they do not.  Every other message touches no pool,
+    queue or waiter, so its place within a picosecond is free.
+
+    - A wake that falls on a keygen instant.  The instants a clock sleeps
+      through would add nothing, so only the instant it wakes for and its
+      place there count.  A delivery inside the walk of a clock before it
+      in generator order (each pool has a clock of its own, and one pool's
+      wake-ups take from another's pool) finds its slot at that instant
+      still to come; any other delivery wakes it for the next instant.
+      There it is armed behind the clocks before it, and the clocks after
+      it that are already armed for that instant are armed again behind
+      it, so the clocks of an instant run in generator order as before.
+    - The express REQUEST's earlier seq.  Its seq is taken at the issue,
+      not when its last hop would send it, so within its picosecond it
+      moves ahead of the events sent in between.  Those that touch a pool
+      are keygen instants and other requests' messages on the same
+      picosecond, which the premise above rules out.
+    - Reservations made between two wakes.  An added key wakes a resource
+      manager only when `QKDRMP.pool_recovered` would then serve
+      something (`QKDRMP.can_serve`), so every wake left out would have
+      served nothing.  The check reads both pools of the queue head and
+      the pool of every waiting request, whichever pool got the key, so it
+      sees keys reserved since the last wake.  Such a reservation never
+      makes a waiter servable anyway: the other end of a pool reserves
+      keys for a request only by taking them from a pool that could serve
+      that many, so a waiter becomes servable only when a key lands in
+      one of its pools.
     """
 
     def __init__(self, name, env, interval_ps, generators):
@@ -109,12 +166,19 @@ class KeyClock:
         self.env = env
         self.interval_ps = interval_ps
         self.generators = generators
+        self.start_ps = env.now
+        self.ticking = self.asleep = False
         self.event = env.schedule(Event(env.now + interval_ps, self, "keygen"))
 
     def keygen(self):
+        self.ticking = True
         for node, peer, pool in self.generators:
             if len(pool.keys) < pool.v_max:
                 node.keygen_tick(peer)
+        self.ticking = False
+        if all(len(pool.keys) >= pool.v_max for *_, pool in self.generators):
+            self.asleep = True
+            return
         event, env = self.event, self.env
         event.time = env.now + self.interval_ps
         env.schedule(event)
@@ -148,35 +212,49 @@ class QKDRMP:
 
     # --- request initiation (source side) --------------------------------
     def initiate(self, request: KeyRequest):
+        """Route `request` into its hop map and send REQUEST as one event,
+        to the first node whose fail-fast check fails or else to the
+        destination."""
         request.issued_ps = self.env.now
         if request.dst == self.node.name:
             raise ValueError(f"request {request.id}: source and destination are both "
                              f"{request.dst!r}")
-        path = self.node.network.route(self.node.name, request.dst)
+        network = self.node.network
+        path = network.route(self.node.name, request.dst)
         if path is None:
             request.state = "unreachable"
             return
         request.path = path
         request.hops = {name: (up, down) for up, name, down
                         in zip([None, *path], path, [*path[1:], None])}
-        self.forward({"type": "REQUEST", "request": request}, path[1])
+        node, delay = self.node, 0
+        for name in path[1:]:
+            channel = network.channel_between(node, network.node(name),
+                                              ClassicalFiberChannel)
+            node, delay = channel.receiver, delay + channel.delay_ps
+            if name == request.dst or node.rmp._rejects(request):
+                break
+        self.env.schedule_after(delay, node, "receive_classical_msg",
+                                {"type": "REQUEST", "request": request}, channel.sender)
 
     # --- message handling ------------------------------------------------
     def handle_classical(self, msg, src):
         self._HANDLERS[msg["type"]](self, msg["request"], msg)
 
+    def _rejects(self, request) -> bool:
+        """Fail fast: a pool this node takes from can never hold enough keys."""
+        return any(request.key_num > self.pools[n].v_max
+                   for n in request.hops[self.node.name] if n is not None)
+
     def _on_request(self, request, msg):
-        up, down = request.hops[self.node.name]
-        if any(request.key_num > self.pools[n].v_max
-               for n in (up, down) if n is not None):
-            # fail fast: a pool this node takes from can never hold enough keys
+        if self._rejects(request):
             self.relay({"type": "REJECT", "request": request}, request.src)
-        elif down is None:  # destination
-            request.advance("accepted")
-            self.forward({"type": "ACCEPT", "request": request}, up)
-            self._take_or_wait(request)
-        else:
-            self.forward(msg, down)
+            return
+        # the destination: REQUEST stops at a repeater only to be rejected
+        request.advance("accepted")
+        self.forward({"type": "ACCEPT", "request": request},
+                     request.hops[self.node.name][0])
+        self._take_or_wait(request)
 
     def _on_reject(self, request, msg):
         request.state = "rejected"
@@ -210,18 +288,23 @@ class QKDRMP:
         return True
 
     # --- repeater processing ---------------------------------------------
-    def try_process(self):
-        while self.queue:
+    def _ready_head(self):
+        """The queue head when both of its pools can serve it now, else None."""
+        if self.queue:
             request = self.queue[0]
             up, down = request.hops[self.node.name]
-            pool_up, pool_down = self.pools[up], self.pools[down]
-            if not (pool_up.can_take_for(request.id, request.key_num) and
-                    pool_down.can_take_for(request.id, request.key_num)):
-                return
+            if (self.pools[up].can_take_for(request.id, request.key_num) and
+                    self.pools[down].can_take_for(request.id, request.key_num)):
+                return request
+        return None
+
+    def try_process(self):
+        while (request := self._ready_head()) is not None:
             self.queue.pop(0)
             request.advance("serving")
-            k_up = pool_up.take_for(request.id, request.key_num)
-            k_down = pool_down.take_for(request.id, request.key_num)
+            up, down = request.hops[self.node.name]
+            k_up = self.pools[up].take_for(request.id, request.key_num)
+            k_down = self.pools[down].take_for(request.id, request.key_num)
             cipher = xor_key_lists(k_up, k_down)
             self.relay({"type": "CIPHERTEXT", "request": request,
                         "repeater": self.node.name, "cipher": cipher}, request.dst)
@@ -245,8 +328,20 @@ class QKDRMP:
         request.completed_ps = self.env.now
 
     # --- pool recovery ----------------------------------------------------
+    def can_serve(self) -> bool:
+        """Whether `pool_recovered` would serve a request now: the queue
+        head, or a waiting endnode request."""
+        if self._ready_head() is not None:
+            return True
+        for request in self.waiting_local:
+            up, down = request.hops[self.node.name]
+            if self.pools[up or down].can_take_for(request.id, request.key_num):
+                return True
+        return False
+
     def pool_recovered(self):
-        """Serve what waits on this node's pools; a no-op when nothing waits."""
+        """Serve what waits on this node's pools; a no-op when nothing can
+        be served (`can_serve`)."""
         self.try_process()
         self.waiting_local = [request for request in self.waiting_local
                               if not self._take_local(request)]
@@ -269,10 +364,11 @@ class QKDNode(Node):
 
     def keygen_tick(self, peer):
         """Add a key to the pool shared with `peer` and wake the resource
-        managers of both ends, this node's first, that wait for keys."""
+        managers of both ends, this node's first, that can now serve a
+        request they hold."""
         if self.rmp.pools[peer.name].add_key():
             for rmp in (self.rmp, peer.rmp):
-                if rmp.queue or rmp.waiting_local:
+                if (rmp.queue or rmp.waiting_local) and rmp.can_serve():
                     rmp.pool_recovered()
 
 
@@ -329,6 +425,28 @@ class KeyDistributionNetwork:
         else:
             self.clocks = [KeyClock(self.network.name, env, self.interval_ps,
                                     generators)]
+        for clock in self.clocks:
+            for *_, pool in clock.generators:
+                pool.on_room = partial(self._wake, clock)
+
+    def _wake(self, clock):
+        """Arm a sleeping `clock` at its first instant whose slot is still to
+        come, between the clocks before and after it (see `KeyClock`)."""
+        env = self.network.env
+        if not clock.asleep or env.state is EnvState.FINISHED:
+            return
+        clock.asleep = False
+        now, clocks = env.now, self.clocks
+        index = clocks.index(clock)
+        time = now - (now - clock.start_ps) % self.interval_ps
+        if time < now or not any(earlier.ticking for earlier in clocks[:index]):
+            time += self.interval_ps
+        clock.event.time = time
+        env.schedule(clock.event)
+        for later in clocks[index + 1:]:  # armed for the same instant: behind it
+            if later.event.time == time and not later.event.executed:
+                later.event.cancel()
+                later.event = env.schedule(Event(time, later, "keygen"))
 
     def issue_request(self, request: KeyRequest):
         if request.src not in self.endnodes:

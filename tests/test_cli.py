@@ -365,6 +365,22 @@ def test_compile_causality_violation_exits_1_naming_index(tmp_path, capsys):
     assert "instruction 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("script,message", [
+    ([LocalOp("a", "h", 0), LocalOp("a", "h", 99)], "instruction 1: node 'a' has no "
+                                                    "register unit at address 99"),
+    ([LocalOp("a", "h", -1)], "instruction 0: node 'a' has no register unit at address -1"),
+    ([LocalOp("b", "h", 0), *(LocalOp("a", "h", i) for i in range(8)),
+      Transmit("b", "a", 0)], "instruction 9: local register of node 'a' is full"),
+])
+def test_compile_register_fault_exits_1_naming_index(tmp_path, capsys, script, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(dump_script(script))
+    out = tmp_path / "o.json"
+    assert main(["compile", "--script", str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"compile error: {message}\n"
+    assert not out.exists()
+
+
 def test_compile_empty_script(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text(dump_script([]))

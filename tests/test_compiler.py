@@ -153,6 +153,23 @@ def test_every_instruction_kind_rejects_an_unknown_node(last):
         compile_protocol(script, ["a"])
 
 
+# an address past the register, a negative one, and a transmit into a full register
+BAD_REGISTER_SCRIPTS = [
+    ([LocalOp("a", "h", 0), LocalOp("a", "h", 99)],
+     "instruction 1: node 'a' has no register unit at address 99"),
+    ([LocalOp("a", "h", 0), LocalOp("a", "cnot", (0, -1))],
+     "instruction 1: node 'a' has no register unit at address -1"),
+    ([LocalOp("b", "h", 0), *(LocalOp("a", "h", i) for i in range(8)), Transmit("b", "a", 0)],
+     "instruction 9: local register of node 'a' is full"),
+]
+
+
+@pytest.mark.parametrize("script,message", BAD_REGISTER_SCRIPTS)
+def test_register_faults_are_compile_errors_naming_the_instruction(script, message):
+    with pytest.raises(CompileError, match=message):
+        compile_protocol(script, ["a", "b"])
+
+
 def test_teleport_compiles_to_three_registers():
     circ = compile_protocol(teleport_script(0.3), NODES)
     assert circ.width == 3

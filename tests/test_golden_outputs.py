@@ -1,16 +1,20 @@
 """Golden outputs: a fixed (config, seed) must keep writing the same bytes.
 
 The digests pin `results.csv`, `pools.csv` and `trace.log` of five
-key-pool scenarios, and `results.csv` of the default chsh, bb84 and
-satellite configs at two seeds each.  A change that only makes the simulator faster must
-leave every digest as it is; a change that moves an event, a sequence
-number or a random draw changes at least one of them, and must say so
-and update the digests on purpose.  A change that only drops events
-which touch no state (one keygen clock in place of one timer per pool,
-no ACK messages), or that moves events which touch no pool, queue or
-waiter within their picosecond (relay-only REJECT/CIPHERTEXT/DONE
-messages delivered as one event at their end instead of hop by hop),
-keeps `results.csv` and `pools.csv` and re-pins `trace.log` alone.
+key-pool scenarios, `results.csv` and `pools.csv` of three more, and
+`results.csv` of the default chsh, bb84 and satellite configs at two
+seeds each.  A change that only makes the simulator faster must leave
+every digest as it is; a change that moves an event, a sequence number
+or a random draw changes at least one of them, and must say so and
+update the digests on purpose.  A change that only drops events which
+touch no state (one keygen clock in place of one timer per pool, no ACK
+messages, no keygen instant while every pool is full, no wake-up of a
+resource manager that can serve nothing), or that moves events within
+their picosecond only where no other event there touches their pools
+(relay-only REJECT/CIPHERTEXT/DONE messages, and REQUEST, which the
+repeaters on its path only read, delivered as one event at their end
+instead of hop by hop), keeps `results.csv` and `pools.csv` and re-pins
+`trace.log` alone.
 """
 
 import hashlib
@@ -58,27 +62,27 @@ GOLDEN = [
     (KEYPOOL_ACCEPTANCE, 2212, {
         "results.csv": "40acb97ae9758e0dea14a27bac7c7fdedb9e69fc10571dd4086dd7f28e0db809",
         "pools.csv": "a82ae68f943ca6f53255197dd3d9b29bbdd5df294cc3f24442bc980947c2bd48",
-        "trace.log": "75521fc6c9183c23a91319c90a72ac018ac73e1438bbff2adbceca4231af202e",
+        "trace.log": "83ef744ae47a7b673ec7944db12b5e37be1335852b455749cc30b154db701eb9",
     }),
     (CHAIN16, 1201, {
         "results.csv": "7ba1d1eb79c845f6a09ce660b70f53fbc904e3ab8c629d0cddefc3c47e0b022e",
         "pools.csv": "9505c5589fb8dbc9ae03c9e2ee3f69576ed3a82f4ed4069199cc763f7a780c10",
-        "trace.log": "20639cd900929d82618a835d9c64c650ed8cb053ce82be42731d4d725bee18a4",
+        "trace.log": "5a655c7ebc3652f07e432ab41055590bd15d53ebf46f40605a52405d0d0dba2e",
     }),
     (CHAIN64, 6401, {
         "results.csv": "54ed1f79e9d8789e2cb773e66e56f96a3464052f20110ab7fdf703d1f7c867c9",
         "pools.csv": "f2c85b8897c3ed5f97d5ee25e2c01db1a52f6027ba7b8ccb9a4e362fb3f94ec6",
-        "trace.log": "43bcccef4797e4b1543482cd4f3b7861318961c40ff617ea4d7d57cfb9776c36",
+        "trace.log": "507f99405399b165194d3baa71f9d84556d5266e49eb1bd5585874687afeb6a8",
     }),
     (KEYPOOL_HOP_EQUALS_INTERVAL, 4004, {
         "results.csv": "e9fab525edcddd72a34b172cd4308e7f142971245003320585a72e10ffdb5459",
         "pools.csv": "e895182d675e3572bc72ed6f4ba0abfcb28a0ecfc7664a327f43f13957d2ffc2",
-        "trace.log": "899aa4afeee4dab84ee26ce7272d3b926ad5917fe9cfd85f722a2f18bbd51796",
+        "trace.log": "dff58c9e47eadb34811ed84aeaece336e1c0621083c9fe54c3efc26bfd0e32d2",
     }),
     (KEYPOOL_HOP_EQUALS_INTERVAL_SMALL, 4004, {
         "results.csv": "a7e19ba76dea71d1cfee823b75ceec2764ef0bcb19144258d8bf53afbcd776bd",
         "pools.csv": "6ecb95e9eb59d5d8997706fe34e68c13fa9b24711f6c4e05a36f1e0572aa2532",
-        "trace.log": "e9b142e86e903a1ad154d4e95f4adceddb71ac34182129f09758bb9f0456b25c",
+        "trace.log": "7c54addd19e331671917f9d3c8cf76231e45d1385b62bedef47492b384541196",
     }),
     (KEYPOOL_HOP_HALF_INTERVAL, 2002, {
         "results.csv": "3a283ed39a84d911e34125555cd64146de502ee9d95047afcdf1620c180ed6fe",

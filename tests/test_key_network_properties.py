@@ -7,6 +7,9 @@ earlier than a request's round trip over its path allows; a (config,
 seed) pair writes the same bytes when it is run again; and the
 relay-only messages (REJECT, CIPHERTEXT, DONE) are handled only at the
 request end they travel to, arriving from a neighbour of that end.
+The outputs also match those of the rules the event diet replaced: a
+keygen clock that re-arms at every instant, a new key that wakes every
+resource manager with anything waiting, and REQUEST forwarded hop by hop.
 """
 
 import csv
@@ -15,11 +18,12 @@ from collections import Counter
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qnetsim import scenarios
 from qnetsim.netmodel.channel import ClassicalFiberChannel, classical_delay_ps
-from qnetsim.protocols.qkd_network import QKDRMP, KeyDistributionNetwork
+from qnetsim.protocols.qkd_network import (QKDRMP, KeyClock, KeyDistributionNetwork,
+                                          QKDNode)
 
 OUTPUTS = ("results.csv", "pools.csv", "trace.log")
 
@@ -112,3 +116,86 @@ def test_relay_only_messages_are_handled_only_at_their_end(config, key_num, seed
         if request.state == "done":
             assert seen[request.id, "DONE"] == 1
             assert seen[request.id, "CIPHERTEXT"] == len(request.path) - 2
+
+
+# ---- the rules the event diet replaced ------------------------------------
+
+def _rearming_keygen(clock):
+    for node, peer, pool in clock.generators:
+        if len(pool.keys) < pool.v_max:
+            node.keygen_tick(peer)
+    clock.event.time = clock.env.now + clock.interval_ps
+    clock.env.schedule(clock.event)
+
+
+def _wake_every_waiter(node, peer):
+    if node.rmp.pools[peer.name].add_key():
+        for rmp in (node.rmp, peer.rmp):
+            if rmp.queue or rmp.waiting_local:
+                rmp.pool_recovered()
+
+
+def _initiate_hop_by_hop(rmp, request):
+    request.issued_ps = rmp.env.now
+    path = rmp.node.network.route(rmp.node.name, request.dst)
+    if path is None:
+        request.state = "unreachable"
+        return
+    request.path = path
+    request.hops = {name: (up, down) for up, name, down
+                    in zip([None, *path], path, [*path[1:], None])}
+    rmp.forward({"type": "REQUEST", "request": request}, path[1])
+
+
+_on_request = QKDRMP._HANDLERS["REQUEST"]
+
+
+def _forward_request(rmp, request, msg):
+    down = request.hops[rmp.node.name][1]
+    if down is None or rmp._rejects(request):
+        _on_request(rmp, request, msg)
+    else:
+        rmp.forward(msg, down)
+
+
+@st.composite
+def trees(draw):
+    """Chains with endnodes hung off repeaters, whose hop delay D is half,
+    one or two keygen intervals."""
+    n_repeaters = draw(st.integers(0, 5))
+    branches = draw(st.lists(st.integers(0, n_repeaters - 1), max_size=3)
+                    if n_repeaters else st.just([]))
+    distance_km = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    hop_ps = classical_delay_ps(distance_km)
+    interval_ps = draw(st.sampled_from([2 * hop_ps, hop_ps, hop_ps // 2]))
+    capacity = draw(st.integers(5, 40))
+    return {"scenario": "keypool", "n_repeaters": n_repeaters,
+            "extra_endnodes": [[f"E{i}", r] for i, r in enumerate(branches)],
+            "distance_km": distance_km, "keygen_rate": 1e12 / interval_ps,
+            "capacity": capacity, "key_num": draw(st.integers(1, capacity + 2)),
+            "key_length": 8, "num_requests": draw(st.integers(1, 40)),
+            "end_time_ps": draw(st.integers(50, 1000)) * interval_ps}
+
+
+@settings(max_examples=20, deadline=None)
+@given(trees(), st.integers(0, 2**32 - 1))
+# hop delay == interval, so each pool has a clock of its own; here a clock is
+# woken inside the walk of one before it and must tick at that instant
+@example({"scenario": "keypool", "n_repeaters": 6, "extra_endnodes": [["E0", 0]],
+          "distance_km": 1.0, "keygen_rate": 200_000.0, "capacity": 16, "key_num": 14,
+          "key_length": 8, "num_requests": 53, "end_time_ps": 4_820_000_000}, 160849039)
+# and here a woken clock must run ahead of the clocks after it already armed
+@example({"scenario": "keypool", "n_repeaters": 5, "extra_endnodes": [["E0", 2], ["E1", 2]],
+          "distance_km": 0.5, "keygen_rate": 400_000.0, "capacity": 19, "key_num": 18,
+          "key_length": 8, "num_requests": 41, "end_time_ps": 605_000_000}, 896963902)
+def test_outputs_match_the_replaced_rules(config, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        new, old = Path(tmp, "new"), Path(tmp, "old")
+        scenarios.run_scenario(config, seed, new)
+        with mock.patch.object(KeyClock, "keygen", _rearming_keygen), \
+                mock.patch.object(QKDNode, "keygen_tick", _wake_every_waiter), \
+                mock.patch.object(QKDRMP, "initiate", _initiate_hop_by_hop), \
+                mock.patch.dict(QKDRMP._HANDLERS, {"REQUEST": _forward_request}):
+            scenarios.run_scenario(config, seed, old)
+        for name in ("results.csv", "pools.csv"):
+            assert (new / name).read_bytes() == (old / name).read_bytes()

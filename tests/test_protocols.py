@@ -15,7 +15,7 @@ from qnetsim.protocols import (CLASSICAL_OPTIMAL_WIN_RATE,
                                chsh_play, chsh_quantum_probs, chsh_referee,
                                decoy_bb84_generate, entanglement_swap, teleport)
 from qnetsim.protocols.chsh import classical_win_rate_exhaustive
-from qnetsim.protocols.qkd_network import QKDNode, xor_keys
+from qnetsim.protocols.qkd_network import QKDNode, xor_key_lists, xor_keys
 from qnetsim.protocols.teleport import bell_measure
 
 
@@ -101,6 +101,21 @@ def test_xor_keys_matches_per_character_reference(pair):
 def test_xor_keys_rejects_length_mismatch():
     with pytest.raises(ValueError):
         xor_keys("01", "011")
+
+
+@given(st.lists(st.integers(0, 70)).flatmap(lambda lengths: st.tuples(*(
+    st.tuples(st.text("01", min_size=n, max_size=n), st.text("01", min_size=n, max_size=n))
+    for n in lengths))))
+def test_xor_key_lists_matches_keywise_xor(pairs):
+    ka, kb = [a for a, _ in pairs], [b for _, b in pairs]
+    assert xor_key_lists(ka, kb) == [xor_keys(a, b) for a, b in pairs]
+
+
+@pytest.mark.parametrize("ka,kb", [(["01", "011"], ["011", "01"]),  # same total
+                                   (["01"], ["01", "10"]), (["01", ""], ["01"])])
+def test_xor_key_lists_rejects_length_mismatch(ka, kb):
+    with pytest.raises(ValueError, match="key lengths differ"):
+        xor_key_lists(ka, kb)
 
 
 @pytest.mark.parametrize("key_length", [0, 1, 32, 257])
@@ -435,12 +450,14 @@ def test_relay_only_messages_are_one_event_at_their_end(monkeypatch):
     request = KeyRequest(id=0, src="A", dst="B", key_num=10)
     kdn.issue_request(request)
     env.run(end_time=10**9)
+    # REQUEST is express too: only ACCEPT, which each repeater acts on, goes hop by hop
     for repeater in ("R1", "R2", "R3", "R4"):
         assert [(node, kind) for node, kind, _ in handled if node == repeater] == [
-            (repeater, "REQUEST"), (repeater, "ACCEPT")]
+            (repeater, "ACCEPT")]
         assert sum(line[3] == f"{repeater}.receive_classical_msg"
-                   for line in env.trace) == 2
+                   for line in env.trace) == 1
     # each arrives from the last hop of its path
+    assert [entry for entry in handled if entry[1] == "REQUEST"] == [("B", "REQUEST", "R4")]
     assert sorted(entry for entry in handled if entry[1] == "CIPHERTEXT") == [
         ("B", "CIPHERTEXT", "R4")] * 4
     assert [entry for entry in handled if entry[1] == "DONE"] == [("A", "DONE", "R1")]
@@ -464,13 +481,26 @@ def _keygen_network(distance_km=1.0, keygen_rate=1000.0, capacity=10, **chain):
 
 
 def test_keygen_clock_is_the_one_pending_keygen_event():
-    env, kdn = _keygen_network(n_repeaters=1)  # two pools, 1 ms interval
+    env, kdn = _keygen_network(n_repeaters=1)  # two full pools, 1 ms interval
     (clock,) = kdn.clocks
     assert [event for *_, event in env.fel] == [clock.event]
-    env.run(end_time=5 * 10**9 + 1)
-    assert env.trace == [(k * 10**9, 0, k - 1, "kdnet.keygen") for k in range(1, 6)]
-    assert [event for *_, event in env.fel] == [clock.event]
-    assert (clock.event.time, clock.event.seq) == (6 * 10**9, 5)
+    pool = kdn.pools[frozenset(("A", "R1"))]
+    # a take between two instants, then one on an instant after the clock slept
+    env.schedule_at(2_500_000_000, pool, "deliver", 3)
+    env.schedule_at(7 * 10**9, pool, "deliver", 1)
+    env.run(end_time=12 * 10**9)
+    # the clock sleeps while both pools are full, and a take that leaves room
+    # wakes it at its next instant on the 1 ms grid
+    assert env.trace == [
+        (10**9, 0, 0, "kdnet.keygen"),
+        (2_500_000_000, 0, 1, "A~R1.deliver"),
+        (3 * 10**9, 0, 3, "kdnet.keygen"), (4 * 10**9, 0, 4, "kdnet.keygen"),
+        (5 * 10**9, 0, 5, "kdnet.keygen"),
+        (7 * 10**9, 0, 2, "A~R1.deliver"),
+        (8 * 10**9, 0, 6, "kdnet.keygen")]
+    assert env.fel == [] and clock.asleep
+    assert pool.generated == 10 + 4 and pool.v_current == pool.v_max
+    assert pool.deliver(1) is not None and clock.asleep  # a finished run stays finished
 
 
 def test_pool_generated_is_fill_plus_instants_with_room():
@@ -505,8 +535,19 @@ def test_hop_delay_equal_to_interval_gives_each_pool_a_clock():
     assert names == ["A~R1", "R1~B"]
     assert [[(a.name, b.name, pool.name) for a, b, pool in clock.generators]
             for clock in kdn.clocks] == [[("A", "R1", "A~R1")], [("R1", "B", "R1~B")]]
-    env.run(end_time=2 * 20 * 10**6)
-    assert [line[3] for line in env.trace] == [f"{name}.keygen" for name in names] * 2
+    first, second = (kdn.pools[frozenset(key)] for key in (("A", "R1"), ("R1", "B")))
+    # takes from the second pool, then the first, between the second and third
+    # instants wake both clocks for the third, where they tick in their order
+    env.schedule_at(50 * 10**6, second, "deliver", 1)
+    env.schedule_at(50 * 10**6 + 1, first, "deliver", 1)
+    env.run(end_time=4 * 20 * 10**6)
+    # both pools start full, so both clocks sleep after the first instant
+    assert [line[3] for line in env.trace] == [
+        "A~R1.keygen", "R1~B.keygen", "R1~B.deliver", "A~R1.deliver",
+        "A~R1.keygen", "R1~B.keygen"]
+    assert [line[0] for line in env.trace] == [20 * 10**6] * 2 + [
+        50 * 10**6, 50 * 10**6 + 1] + [60 * 10**6] * 2
+    assert env.fel == [] and all(clock.asleep for clock in kdn.clocks)
     _env, kdn = _keygen_network(distance_km=4.0, keygen_rate=40_000.0, n_repeaters=1)
     assert [clock.name for clock in kdn.clocks] == ["kdnet"]
 
