@@ -35,7 +35,7 @@ class KeyPool:
         self.delivered = 0
         self._reservations = {}  # request id -> delivered keys, readable once more
         self._ahead = []  # keys drawn but not yet used, last one first
-        self.on_room = None  # called after a delivery from a full pool
+        self.on_room = None  # KeyClock.wake, called after a delivery from a full pool
 
     @property
     def v_current(self) -> int:
@@ -74,8 +74,9 @@ class KeyPool:
         """Pop `count` keys, or None as a backpressure signal.
 
         Dropping below V_i afterwards switches the pool to replenishing.
-        A delivery from a full pool then calls `on_room`, if set: the
-        keygen clock that sleeps while its pools are full hangs there.
+        A delivery from a full pool then calls `on_room`, if set: there
+        the key network's one keygen clock, asleep while all of its pools
+        are full, is woken (`KeyClock.wake`).
         """
         if count > self.v_max:
             raise ValueError(

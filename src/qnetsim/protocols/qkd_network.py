@@ -7,11 +7,12 @@ The key network has four layers, each a direct call into the next:
   keys from the pools it shares with its neighbours and sends messages;
 - routing: the `Network`'s next-hop table, from which the source builds
   a request's hop map and express messages take their delay;
-- key generation: a `KeyClock` fills battery-like pools, each shared by
-  the two endpoints of a segment.
-At each interval the keygen clock adds a key to every pool with room; it
-sleeps while every pool it drives is full, and the first delivery from a
-full pool wakes it at its next instant on the same grid.  An added key
+- key generation: one `KeyClock` per key network fills battery-like
+  pools, each shared by the two endpoints of a segment.
+At each interval the clock adds a key to every pool with room, in the
+order of their sorted endpoint names; it sleeps while every pool is full,
+and the first delivery from a full pool wakes it at its next instant on
+the same grid, whatever the channel delays.  An added key
 wakes a resource manager of its segment only when that manager can now
 serve a request it holds: the head of its queue, when both of the head's
 pools can serve it, or one of its waiting endnode requests.  A repeater
@@ -44,7 +45,6 @@ bring it there and is sent from its last hop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import accumulate
 
 from ..des import EnvState, Event
@@ -109,9 +109,9 @@ class KeyClock:
     its capacity (`QKDNode.keygen_tick`), then re-arms its one event.  When
     every pool it drives is full after the walk it sleeps instead, and the
     first delivery from one of those pools (`KeyPool.on_room`) arms it at
-    its next instant on the same grid (`KeyDistributionNetwork._wake`).
-    An instant at which every pool is full adds no key, draws no random
-    number and wakes no resource manager, so only the trace misses it.
+    its next instant on the same grid (`wake`).  An instant at which every
+    pool is full adds no key, draws no random number and wakes no resource
+    manager, so only the trace misses it.
 
     Why one clock for all pools keeps every event that touches a pool in
     its order and every random draw in its place: with one timer per pool,
@@ -119,12 +119,11 @@ class KeyClock:
     key, the timers due at T + I are all scheduled during instant T, and
     between two re-arms only the wake-ups of a key run.  These send only
     relay-only messages (CIPHERTEXT, DONE), which touch no pool, queue or
-    waiter, due at T + their path delay.  Unless some channel delay equals
-    the interval I, the timers of an instant thus form one block with no
-    other event run inside it, and one event re-armed after the block's
-    last key pops where the block would.  When some delay equals I, those
-    messages pop inside the block, so the network gives each pool a clock
-    of its own, which keeps the order of one timer per pool.
+    waiter.  So no event that touches a pool runs inside the timers of an
+    instant, and one event re-armed after the last key adds the keys of
+    the instant in the same order.  Where a path delay equals I, relay-only
+    messages sent at T pop before the clock at T + I rather than among the
+    timers, which moves only trace lines.
 
     The events that touch a pool are the keygen instants and, for each
     request, its REQUEST at the destination and its ACCEPT hops, due at
@@ -135,15 +134,11 @@ class KeyClock:
     below hold when they do not.  Every other message touches no pool,
     queue or waiter, so its place within a picosecond is free.
 
-    - A wake that falls on a keygen instant.  The instants a clock sleeps
-      through would add nothing, so only the instant it wakes for and its
-      place there count.  A delivery inside the walk of a clock before it
-      in generator order (each pool has a clock of its own, and one pool's
-      wake-ups take from another's pool) finds its slot at that instant
-      still to come; any other delivery wakes it for the next instant.
-      There it is armed behind the clocks before it, and the clocks after
-      it that are already armed for that instant are armed again behind
-      it, so the clocks of an instant run in generator order as before.
+    - A wake.  The instants the clock sleeps through would add nothing, so
+      only the instant it wakes for counts.  A delivery inside its own walk
+      finds it awake, and it re-arms after the walk; any other delivery
+      comes from a REQUEST or ACCEPT, off the grid, so the first instant
+      after it is the first at which a key could be added.
     - The express REQUEST's earlier seq.  Its seq is taken at the issue,
       not when its last hop would send it, so within its picosecond it
       moves ahead of the events sent in between.  Those that touch a pool
@@ -167,21 +162,31 @@ class KeyClock:
         self.interval_ps = interval_ps
         self.generators = generators
         self.start_ps = env.now
-        self.ticking = self.asleep = False
+        self.asleep = False
         self.event = env.schedule(Event(env.now + interval_ps, self, "keygen"))
+        for *_, pool in generators:
+            pool.on_room = self.wake
 
     def keygen(self):
-        self.ticking = True
         for node, peer, pool in self.generators:
             if len(pool.keys) < pool.v_max:
                 node.keygen_tick(peer)
-        self.ticking = False
         if all(len(pool.keys) >= pool.v_max for *_, pool in self.generators):
             self.asleep = True
             return
         event, env = self.event, self.env
         event.time = env.now + self.interval_ps
         env.schedule(event)
+
+    def wake(self):
+        """Arm a sleeping clock at its first instant after now; a finished
+        run stays finished."""
+        env, interval = self.env, self.interval_ps
+        if not self.asleep or env.state is EnvState.FINISHED:
+            return
+        self.asleep = False
+        self.event.time = env.now + interval - (env.now - self.start_ps) % interval
+        env.schedule(self.event)
 
 
 class QKDRMP:
@@ -391,7 +396,7 @@ class KeyDistributionNetwork:
         self.interval_ps = keygen_interval_ps(keygen_rate)
         self.pools = {}
         self._ends = {}  # pool key -> the link's two nodes, in link order
-        self.clocks = []
+        self.clock = None
         env = network.env
         for link in network.links:
             if not any(isinstance(c, QuantumFiberChannel) for c in link.channels):
@@ -410,43 +415,14 @@ class KeyDistributionNetwork:
     def start(self):
         """Start key generation; call after env.init().
 
-        Pools tick in the order of their sorted endpoint names, all on one
-        clock, or each on a clock of its own when a channel delay equals
-        the keygen interval (see `KeyClock`)."""
-        if self.clocks:
+        One clock walks every pool, in the order of their sorted endpoint
+        names (see `KeyClock`)."""
+        if self.clock is not None:
             raise RuntimeError("key generation is already running")
-        env = self.network.env
         generators = [(*self._ends[key], self.pools[key])
                       for key in sorted(self.pools, key=sorted)]
-        if any(channel.delay_ps == self.interval_ps
-               for link in self.network.links for channel in link.channels):
-            self.clocks = [KeyClock(pool.name, env, self.interval_ps, [(a, b, pool)])
-                           for a, b, pool in generators]
-        else:
-            self.clocks = [KeyClock(self.network.name, env, self.interval_ps,
-                                    generators)]
-        for clock in self.clocks:
-            for *_, pool in clock.generators:
-                pool.on_room = partial(self._wake, clock)
-
-    def _wake(self, clock):
-        """Arm a sleeping `clock` at its first instant whose slot is still to
-        come, between the clocks before and after it (see `KeyClock`)."""
-        env = self.network.env
-        if not clock.asleep or env.state is EnvState.FINISHED:
-            return
-        clock.asleep = False
-        now, clocks = env.now, self.clocks
-        index = clocks.index(clock)
-        time = now - (now - clock.start_ps) % self.interval_ps
-        if time < now or not any(earlier.ticking for earlier in clocks[:index]):
-            time += self.interval_ps
-        clock.event.time = time
-        env.schedule(clock.event)
-        for later in clocks[index + 1:]:  # armed for the same instant: behind it
-            if later.event.time == time and not later.event.executed:
-                later.event.cancel()
-                later.event = env.schedule(Event(time, later, "keygen"))
+        self.clock = KeyClock(self.network.name, self.network.env, self.interval_ps,
+                              generators)
 
     def issue_request(self, request: KeyRequest):
         if request.src not in self.endnodes:

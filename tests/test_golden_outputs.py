@@ -44,10 +44,10 @@ CHAIN64 = {"scenario": "keypool", "capacity": 40, "num_requests": 60,
 
 # The acceptance config on 4 km links: a classical hop takes 20 us, exactly
 # one keygen interval, so a key added at one instant sends messages that
-# arrive at the next keygen instant, next to its ticks in the event list.
+# arrive on the picosecond of the next keygen instant.
 KEYPOOL_HOP_EQUALS_INTERVAL = {**KEYPOOL_ACCEPTANCE, "distance_km": 4.0}
-# The same with pools of 20 keys: requests wait for keys, and the messages
-# that a new key's wake-ups send do arrive between two pools' keys.
+# The same with pools of 20 keys: requests wait for keys, so new keys wake
+# resource managers whose messages arrive on a later keygen instant.
 KEYPOOL_HOP_EQUALS_INTERVAL_SMALL = {**KEYPOOL_HOP_EQUALS_INTERVAL, "capacity": 20}
 # The acceptance config with a hop of half an interval (2 km) and of two
 # intervals (8 km): a message sent at one keygen instant arrives between two
@@ -77,12 +77,12 @@ GOLDEN = [
     (KEYPOOL_HOP_EQUALS_INTERVAL, 4004, {
         "results.csv": "e9fab525edcddd72a34b172cd4308e7f142971245003320585a72e10ffdb5459",
         "pools.csv": "e895182d675e3572bc72ed6f4ba0abfcb28a0ecfc7664a327f43f13957d2ffc2",
-        "trace.log": "dff58c9e47eadb34811ed84aeaece336e1c0621083c9fe54c3efc26bfd0e32d2",
+        "trace.log": "e9182d857768cd0e09eb51e68ec77b2bd7f0fc0cb2266381deeeee8c75962723",
     }),
     (KEYPOOL_HOP_EQUALS_INTERVAL_SMALL, 4004, {
         "results.csv": "a7e19ba76dea71d1cfee823b75ceec2764ef0bcb19144258d8bf53afbcd776bd",
         "pools.csv": "6ecb95e9eb59d5d8997706fe34e68c13fa9b24711f6c4e05a36f1e0572aa2532",
-        "trace.log": "7c54addd19e331671917f9d3c8cf76231e45d1385b62bedef47492b384541196",
+        "trace.log": "cdf89e4d993a97fdbf34cf3d7d1b1bb3963fc48ba7dd3cff7d0281bb0f4d3c34",
     }),
     (KEYPOOL_HOP_HALF_INTERVAL, 2002, {
         "results.csv": "3a283ed39a84d911e34125555cd64146de502ee9d95047afcdf1620c180ed6fe",

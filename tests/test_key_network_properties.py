@@ -7,9 +7,10 @@ earlier than a request's round trip over its path allows; a (config,
 seed) pair writes the same bytes when it is run again; and the
 relay-only messages (REJECT, CIPHERTEXT, DONE) are handled only at the
 request end they travel to, arriving from a neighbour of that end.
-The outputs also match those of the rules the event diet replaced: a
-keygen clock that re-arms at every instant, a new key that wakes every
-resource manager with anything waiting, and REQUEST forwarded hop by hop.
+The outputs also match those of the rules the event diet replaced: one
+keygen clock per pool, each re-armed at every instant, a new key that
+wakes every resource manager with anything waiting, and REQUEST forwarded
+hop by hop.
 """
 
 import csv
@@ -120,6 +121,13 @@ def test_relay_only_messages_are_handled_only_at_their_end(config, key_num, seed
 
 # ---- the rules the event diet replaced ------------------------------------
 
+def _clock_per_pool(kdn):
+    env = kdn.network.env
+    for key in sorted(kdn.pools, key=sorted):  # generator order
+        pool = kdn.pools[key]
+        KeyClock(pool.name, env, kdn.interval_ps, [(*kdn._ends[key], pool)])
+
+
 def _rearming_keygen(clock):
     for node, peer, pool in clock.generators:
         if len(pool.keys) < pool.v_max:
@@ -179,12 +187,14 @@ def trees(draw):
 
 @settings(max_examples=20, deadline=None)
 @given(trees(), st.integers(0, 2**32 - 1))
-# hop delay == interval, so each pool has a clock of its own; here a clock is
-# woken inside the walk of one before it and must tick at that instant
+# hop delay == interval, so messages sent at one instant arrive at the next,
+# where the reference runs one timer per pool; here a wake-up inside an
+# instant's walk takes from a pool later in the walk, which that instant refills
 @example({"scenario": "keypool", "n_repeaters": 6, "extra_endnodes": [["E0", 0]],
           "distance_km": 1.0, "keygen_rate": 200_000.0, "capacity": 16, "key_num": 14,
           "key_length": 8, "num_requests": 53, "end_time_ps": 4_820_000_000}, 160849039)
-# and here a woken clock must run ahead of the clocks after it already armed
+# hop delay == interval here too, and every pool fills up, so the clock
+# sleeps until a take wakes it, while the reference's timers never sleep
 @example({"scenario": "keypool", "n_repeaters": 5, "extra_endnodes": [["E0", 2], ["E1", 2]],
           "distance_km": 0.5, "keygen_rate": 400_000.0, "capacity": 19, "key_num": 18,
           "key_length": 8, "num_requests": 41, "end_time_ps": 605_000_000}, 896963902)
@@ -192,7 +202,8 @@ def test_outputs_match_the_replaced_rules(config, seed):
     with tempfile.TemporaryDirectory() as tmp:
         new, old = Path(tmp, "new"), Path(tmp, "old")
         scenarios.run_scenario(config, seed, new)
-        with mock.patch.object(KeyClock, "keygen", _rearming_keygen), \
+        with mock.patch.object(KeyDistributionNetwork, "start", _clock_per_pool), \
+                mock.patch.object(KeyClock, "keygen", _rearming_keygen), \
                 mock.patch.object(QKDNode, "keygen_tick", _wake_every_waiter), \
                 mock.patch.object(QKDRMP, "initiate", _initiate_hop_by_hop), \
                 mock.patch.dict(QKDRMP._HANDLERS, {"REQUEST": _forward_request}):

@@ -482,7 +482,7 @@ def _keygen_network(distance_km=1.0, keygen_rate=1000.0, capacity=10, **chain):
 
 def test_keygen_clock_is_the_one_pending_keygen_event():
     env, kdn = _keygen_network(n_repeaters=1)  # two full pools, 1 ms interval
-    (clock,) = kdn.clocks
+    clock = kdn.clock
     assert [event for *_, event in env.fel] == [clock.event]
     pool = kdn.pools[frozenset(("A", "R1"))]
     # a take between two instants, then one on an instant after the clock slept
@@ -506,7 +506,7 @@ def test_keygen_clock_is_the_one_pending_keygen_event():
 def test_pool_generated_is_fill_plus_instants_with_room():
     env, kdn = _keygen_network(keygen_rate=20_000.0, capacity=12, n_repeaters=2,
                                extra_endnodes=[("C", 0)])
-    (clock,) = kdn.clocks
+    clock = kdn.clock
     room = dict.fromkeys(kdn.pools, 0)
     keygen = clock.keygen
 
@@ -528,28 +528,28 @@ def test_pool_generated_is_fill_plus_instants_with_room():
         assert pool.generated - pool.delivered == pool.v_current
 
 
-def test_hop_delay_equal_to_interval_gives_each_pool_a_clock():
-    # 4 km of fiber is 20 us, the interval of 50,000 keys/s
+def test_hop_delay_equal_to_interval_keeps_one_clock():
+    # 4 km of fiber is 20 us, the interval of 50,000 keys/s: one clock still
+    # walks every pool
     env, kdn = _keygen_network(distance_km=4.0, keygen_rate=50_000.0, n_repeaters=1)
-    names = [clock.name for clock in kdn.clocks]
-    assert names == ["A~R1", "R1~B"]
-    assert [[(a.name, b.name, pool.name) for a, b, pool in clock.generators]
-            for clock in kdn.clocks] == [[("A", "R1", "A~R1")], [("R1", "B", "R1~B")]]
+    clock = kdn.clock
+    assert clock.name == "kdnet"
+    assert [(a.name, b.name, pool.name) for a, b, pool in clock.generators] == [
+        ("A", "R1", "A~R1"), ("R1", "B", "R1~B")]
     first, second = (kdn.pools[frozenset(key)] for key in (("A", "R1"), ("R1", "B")))
     # takes from the second pool, then the first, between the second and third
-    # instants wake both clocks for the third, where they tick in their order
+    # instants: the first take wakes the clock for the third, the second finds
+    # it awake, and that one instant refills both pools
     env.schedule_at(50 * 10**6, second, "deliver", 1)
     env.schedule_at(50 * 10**6 + 1, first, "deliver", 1)
     env.run(end_time=4 * 20 * 10**6)
-    # both pools start full, so both clocks sleep after the first instant
-    assert [line[3] for line in env.trace] == [
-        "A~R1.keygen", "R1~B.keygen", "R1~B.deliver", "A~R1.deliver",
-        "A~R1.keygen", "R1~B.keygen"]
-    assert [line[0] for line in env.trace] == [20 * 10**6] * 2 + [
-        50 * 10**6, 50 * 10**6 + 1] + [60 * 10**6] * 2
-    assert env.fel == [] and all(clock.asleep for clock in kdn.clocks)
-    _env, kdn = _keygen_network(distance_km=4.0, keygen_rate=40_000.0, n_repeaters=1)
-    assert [clock.name for clock in kdn.clocks] == ["kdnet"]
+    # both pools start full, so the clock sleeps after the first instant
+    assert [(line[0], line[3]) for line in env.trace] == [
+        (20 * 10**6, "kdnet.keygen"), (50 * 10**6, "R1~B.deliver"),
+        (50 * 10**6 + 1, "A~R1.deliver"), (60 * 10**6, "kdnet.keygen")]
+    for pool in (first, second):
+        assert pool.v_current == pool.v_max and pool.generated == pool.v_max + 1
+    assert env.fel == [] and clock.asleep
 
 
 def test_added_keys_wake_only_waiting_resource_managers(monkeypatch):
