@@ -4,11 +4,19 @@ A pool holds up to V_m keys.  Delivering keys that drive the current
 volume below the interruption threshold V_i switches the pool to
 replenishing: it stops serving and generates keys until the recovery
 threshold V_r is reached.  Defaults follow V_i = V_m / 4 and V_r = V_m.
+
+A pool counts its keys and stores none.  Its keygen clock (`clock`)
+gives it one key per instant while it has room; before any read or take
+the pool adds, in bulk, the keys of the instants that passed since it
+was last settled.  Keys get their values when they are delivered: the
+k-th key delivered is the k-th draw of the pool's random stream, as if
+each key had been drawn when it was added, and keys that are never
+delivered are never drawn.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from functools import partial
 
 import numpy as np
 
@@ -28,74 +36,119 @@ class KeyPool:
         if not (0 <= self.v_interrupt <= self.v_recover <= self.v_max):
             raise ValueError("thresholds must satisfy 0 <= V_i <= V_r <= V_m")
         self.key_length = key_length
-        self.keys = deque()
-        self.status = "serving"
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-        self.generated = 0
         self.delivered = 0
+        self.clock = None  # the KeyClock whose instants add keys, set by it
+        self._volume = 0
+        self._status = "serving"
+        self._generated = 0
+        self._settled = 0  # index of the last keygen instant counted
+        # the random stream, or a callable that makes it at the first draw
+        self._rng = rng if rng is not None else partial(np.random.default_rng, 0)
         self._reservations = {}  # request id -> delivered keys, readable once more
-        self._ahead = []  # keys drawn but not yet used, last one first
-        self.on_room = None  # KeyClock.wake, called after a delivery from a full pool
+        self._ahead = []  # keys drawn but not yet delivered, in stream order
+
+    # --- settled state ----------------------------------------------------
+    def _settle(self):
+        clock = self.clock
+        if clock is not None:
+            self.settle((clock.env.now - clock.start_ps - 1) // clock.interval_ps)
+
+    def settle(self, instant):
+        """Count the keys of the keygen instants after the last one
+        counted, through `instant`, that fit."""
+        if instant > self._settled:
+            self._add(instant - self._settled)
+            self._settled = instant
+
+    def _add(self, count):
+        added = min(count, self.v_max - self._volume)
+        if added > 0:
+            self._volume += added
+            self._generated += added
+            if self._status == "replenishing" and self._volume >= self.v_recover:
+                self._status = "serving"
+        return added
 
     @property
     def v_current(self) -> int:
-        return len(self.keys)
+        self._settle()
+        return self._volume
+
+    @property
+    def status(self) -> str:
+        self._settle()
+        return self._status
+
+    @property
+    def generated(self) -> int:
+        self._settle()
+        return self._generated
 
     def fill(self, count=None):
-        for _ in range(self.v_max if count is None else count):
-            self.add_key(self._new_key())
+        """Add `count` keys, V_m if None, as many as fit."""
+        self._settle()
+        self._add(self.v_max if count is None else count)
         return self
 
-    def _new_key(self):
-        """The next key of the pool's stream, drawn a block at a time: numpy
-        takes one 32-bit word per 0/1 value and buffers nothing between
-        calls, so a block holds the same keys as one draw per key."""
-        if not self._ahead:
-            n = self.key_length
-            bits = self.rng.integers(0, 2, (_BLOCK, n))
-            text = bits.astype(np.uint8).tobytes().translate(_BIT_CHARS).decode("ascii")
-            self._ahead = [text[i * n:(i + 1) * n] for i in reversed(range(_BLOCK))]
-        return self._ahead.pop()
+    def add_key(self) -> bool:
+        """Count the key of the instant after the last one counted, if it
+        fits; the clock's walk calls this at each instant it runs."""
+        self._settle()
+        self._settled += 1
+        return self._add(1) > 0
 
-    def add_key(self, key=None):
-        keys = self.keys
-        if len(keys) >= self.v_max:
-            return False
-        keys.append(key if key is not None else self._new_key())
-        self.generated += 1
-        if self.status == "replenishing" and len(keys) >= self.v_recover:
-            self.status = "serving"
-        return True
+    # --- delivery ---------------------------------------------------------
+    def _draw(self, count):
+        """The next `count` keys of the pool's stream, drawn a block at a
+        time: numpy takes one 32-bit word per 0/1 value and buffers nothing
+        between calls, so a block holds the same keys as one draw per key."""
+        ahead = self._ahead
+        while len(ahead) < count:
+            if callable(self._rng):
+                self._rng = self._rng()
+            n = self.key_length
+            bits = self._rng.integers(0, 2, (_BLOCK, n))
+            text = bits.astype(np.uint8).tobytes().translate(_BIT_CHARS).decode("ascii")
+            ahead += [text[i * n:(i + 1) * n] for i in range(_BLOCK)]
+        keys, self._ahead = ahead[:count], ahead[count:]
+        return keys
 
     def can_serve(self, count) -> bool:
-        return self.status == "serving" and self.v_current >= count
+        self._settle()
+        return self._status == "serving" and self._volume >= count
 
     def deliver(self, count):
-        """Pop `count` keys, or None as a backpressure signal.
+        """The next `count` keys, or None as a backpressure signal.
 
         Dropping below V_i afterwards switches the pool to replenishing.
-        A delivery from a full pool then calls `on_room`, if set: there
-        the key network's one keygen clock, asleep while all of its pools
-        are full, is woken (`KeyClock.wake`).
         """
         if count > self.v_max:
             raise ValueError(
                 f"request for {count} keys exceeds pool capacity {self.v_max}")
         if not self.can_serve(count):
             return None
-        was_full = len(self.keys) >= self.v_max
-        keys = [self.keys.popleft() for _ in range(count)]
+        self._volume -= count
         self.delivered += count
-        if self.v_current < self.v_interrupt:
-            self.status = "replenishing"
-        if was_full and self.on_room is not None:
-            self.on_room()
-        return keys
+        if self._volume < self.v_interrupt:
+            self._status = "replenishing"
+        return self._draw(count)
 
     def can_take_for(self, request_id, count) -> bool:
         """Whether take_for(request_id, count) would hand out keys now: the
         request holds a reservation here, or the pool can serve `count`."""
         return request_id in self._reservations or self.can_serve(count)
+
+    def first_instant(self, request_id, count):
+        """The first keygen instant at which can_take_for(request_id, count)
+        holds if nothing is taken first: the last one counted when it holds
+        now, None when it never does."""
+        self._settle()
+        if request_id in self._reservations:
+            return self._settled
+        if count > self.v_max:
+            return None
+        need = count if self._status == "serving" else max(count, self.v_recover)
+        return self._settled + max(0, need - self._volume)
 
     def take_for(self, request_id, count):
         """Deliver keys once per request; the second endpoint of the

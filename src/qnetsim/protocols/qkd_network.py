@@ -9,10 +9,11 @@ The key network has four layers, each a direct call into the next:
   a request's hop map and express messages take their delay;
 - key generation: one `KeyClock` per key network fills battery-like
   pools, each shared by the two endpoints of a segment.
-At each interval the clock adds a key to every pool with room, in the
-order of their sorted endpoint names; it sleeps while every pool is full,
-and the first delivery from a full pool wakes it at its next instant on
-the same grid, whatever the channel delays.  An added key
+Each instant of the clock adds a key to every pool with room, in the
+order of their sorted endpoint names, whatever the channel delays.  A
+pool counts the keys of the instants that passed when it is read, and
+draws a key's value only when it delivers it, so the clock runs an event
+only at instants that could serve a waiting request.  An added key
 wakes a resource manager of its segment only when that manager can now
 serve a request it holds: the head of its queue, when both of the head's
 pools can serve it, or one of its waiting endnode requests.  A repeater
@@ -45,9 +46,10 @@ bring it there and is sent from its last hop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from itertools import accumulate
 
-from ..des import EnvState, Event
+from ..des import Event
 from ..netmodel.channel import ClassicalFiberChannel, QuantumFiberChannel
 from ..netmodel.network import Link, Network, Node
 from .keypool import KeyPool
@@ -91,12 +93,13 @@ class KeyRequest:
     src_keys: list | None = None
     dst_keys: list | None = None
 
-    _ORDER = ["issued", "accepted", "queued", "serving", "done"]
+    _RANK = {state: rank for rank, state
+             in enumerate(["issued", "accepted", "queued", "serving", "done"])}
 
     def advance(self, state):
-        if state in self._ORDER and self.state in self._ORDER:
-            if self._ORDER.index(state) < self._ORDER.index(self.state):
-                return  # lifecycle is monotone; ignore stale transitions
+        new, old = self._RANK.get(state), self._RANK.get(self.state)
+        if new is not None and old is not None and new < old:
+            return  # lifecycle is monotone; ignore stale transitions
         self.state = state
 
 
@@ -104,56 +107,36 @@ class KeyClock:
     """Key generation: at each instant `start + k * interval_ps`, a key for
     each of its pools that has room.
 
-    At each instant the clock walks its `(node, peer, pool)` generators in
-    order, has `node` generate a key toward `peer` into every pool below
-    its capacity (`QKDNode.keygen_tick`), then re-arms its one event.  When
-    every pool it drives is full after the walk it sleeps instead, and the
-    first delivery from one of those pools (`KeyPool.on_room`) arms it at
-    its next instant on the same grid (`wake`).  An instant at which every
-    pool is full adds no key, draws no random number and wakes no resource
-    manager, so only the trace misses it.
+    An instant that serves nothing only adds keys, so it runs no event:
+    each pool counts the keys of the instants that passed when it is next
+    read (`KeyPool.settle`).  The clock's one event is armed at a lower
+    bound of the first instant at which a resource manager could serve its
+    queue head or a waiting endnode request (`QKDRMP.first_instant`), read
+    from the pools' reservations, status, volume and V_r as if nothing were
+    taken first.  There the clock walks its `(node, peer, pool)` generators
+    in order, has `node` count the instant's key toward `peer`
+    (`QKDNode.keygen_tick`, which wakes the resource managers of both ends
+    that can now serve), and re-arms at the least bound of all.
 
-    Why one clock for all pools keeps every event that touches a pool in
-    its order and every random draw in its place: with one timer per pool,
-    started together in generator order and each re-armed after its own
-    key, the timers due at T + I are all scheduled during instant T, and
-    between two re-arms only the wake-ups of a key run.  These send only
-    relay-only messages (CIPHERTEXT, DONE), which touch no pool, queue or
-    waiter.  So no event that touches a pool runs inside the timers of an
-    instant, and one event re-armed after the last key adds the keys of
-    the instant in the same order.  Where a path delay equals I, relay-only
-    messages sent at T pop before the clock at T + I rather than among the
-    timers, which moves only trace lines.
+    Why this keeps every result: a wake that turns out early is harmless,
+    since a walk that serves nothing only adds keys, which the pools count
+    anyway.  A late wake cannot happen.  A take only moves a bound later,
+    and so does one that reserves keys for a request in a pool whose other
+    end holds it: it needed the pool to serve that many keys, which the
+    bound already allowed for.  A bound moves earlier only when a queue
+    head changes or a waiter is added; outside a walk that happens while
+    a REQUEST or ACCEPT is handled, which re-reads it (`QKDRMP._watch`),
+    and a walk re-reads every bound after it.  A walk arms the next one
+    only when it ends, as a clock that ran at every instant did, so the
+    messages a walk sends stay ahead of the next walk in their picosecond.
 
-    The events that touch a pool are the keygen instants and, for each
-    request, its REQUEST at the destination and its ACCEPT hops, due at
-    its issue time plus sums of hop delays.  Those of a request fall on a
-    keygen instant, or on the picosecond of another request's REQUEST or
-    ACCEPT, only when issue times line up to the picosecond, which times
-    drawn over a span of many intervals almost never do; the arguments
-    below hold when they do not.  Every other message touches no pool,
-    queue or waiter, so its place within a picosecond is free.
-
-    - A wake.  The instants the clock sleeps through would add nothing, so
-      only the instant it wakes for counts.  A delivery inside its own walk
-      finds it awake, and it re-arms after the walk; any other delivery
-      comes from a REQUEST or ACCEPT, off the grid, so the first instant
-      after it is the first at which a key could be added.
-    - The express REQUEST's earlier seq.  Its seq is taken at the issue,
-      not when its last hop would send it, so within its picosecond it
-      moves ahead of the events sent in between.  Those that touch a pool
-      are keygen instants and other requests' messages on the same
-      picosecond, which the premise above rules out.
-    - Reservations made between two wakes.  An added key wakes a resource
-      manager only when `QKDRMP.pool_recovered` would then serve
-      something (`QKDRMP.can_serve`), so every wake left out would have
-      served nothing.  The check reads both pools of the queue head and
-      the pool of every waiting request, whichever pool got the key, so it
-      sees keys reserved since the last wake.  Such a reservation never
-      makes a waiter servable anyway: the other end of a pool reserves
-      keys for a request only by taking them from a pool that could serve
-      that many, so a waiter becomes servable only when a key lands in
-      one of its pools.
+    Premise: no event that touches a pool (a REQUEST at its destination or
+    an ACCEPT hop) falls on the picosecond of a keygen instant.  A pool
+    read there counts only the instants before it, as if that instant's
+    walk ran after the event, which a clock that ran at every instant did
+    only for events scheduled before its previous instant.  Issue times
+    drawn over many intervals almost never line up so; with keygen
+    intervals of a few picoseconds they do.
     """
 
     def __init__(self, name, env, interval_ps, generators):
@@ -162,31 +145,40 @@ class KeyClock:
         self.interval_ps = interval_ps
         self.generators = generators
         self.start_ps = env.now
-        self.asleep = False
-        self.event = env.schedule(Event(env.now + interval_ps, self, "keygen"))
-        for *_, pool in generators:
-            pool.on_room = self.wake
+        self.event = None  # the armed walk
+        self.walked = 0  # index of the last instant walked
+        self.rmps = list(dict.fromkeys(
+            rmp for node, peer, _ in generators for rmp in (node.rmp, peer.rmp)))
+        for node, peer, pool in generators:
+            pool.clock = node.rmp.clock = peer.rmp.clock = self
 
     def keygen(self):
-        for node, peer, pool in self.generators:
-            if len(pool.keys) < pool.v_max:
-                node.keygen_tick(peer)
-        if all(len(pool.keys) >= pool.v_max for *_, pool in self.generators):
-            self.asleep = True
-            return
-        event, env = self.event, self.env
-        event.time = env.now + self.interval_ps
-        env.schedule(event)
+        self.event = None
+        self.walked = (self.env.now - self.start_ps) // self.interval_ps
+        for node, peer, _ in self.generators:
+            node.keygen_tick(peer)
+        first = min((instant for rmp in self.rmps
+                     if (instant := rmp.first_instant()) is not None), default=None)
+        if first is not None:
+            self.arm(first)
 
-    def wake(self):
-        """Arm a sleeping clock at its first instant after now; a finished
-        run stays finished."""
+    def arm(self, instant):
+        """Run a walk no later than `instant`, and after the instants passed."""
         env, interval = self.env, self.interval_ps
-        if not self.asleep or env.state is EnvState.FINISHED:
-            return
-        self.asleep = False
-        self.event.time = env.now + interval - (env.now - self.start_ps) % interval
-        env.schedule(self.event)
+        instant = max(instant, self.walked + 1,
+                      (env.now - self.start_ps - 1) // interval + 1)
+        time = self.start_ps + instant * interval
+        if self.event is not None:
+            if self.event.time <= time:
+                return
+            self.event.cancel()
+        self.event = env.schedule(Event(time, self, "keygen"))
+
+    def settle(self, time_ps):
+        """Count every pool's keys of the instants up to `time_ps`."""
+        instant = (time_ps - self.start_ps) // self.interval_ps
+        for *_, pool in self.generators:
+            pool.settle(instant)
 
 
 class QKDRMP:
@@ -199,14 +191,20 @@ class QKDRMP:
         self.pools = {}  # neighbor name -> KeyPool (shared with the neighbor)
         self.queue = []  # FIFO of queued KeyRequests (repeater role)
         self.waiting_local = []  # endnode requests waiting for segment keys
+        self.clock = None  # the KeyClock of its pools, set by it
+        self._channels = {}  # neighbor name -> classical channel toward it
 
     # --- sending ----------------------------------------------------------
     def forward(self, msg, neighbor):
-        """Send `msg` to the neighbour named `neighbor` (from the hop map)."""
-        node = self.node
-        network = node.network
-        network.channel_between(node, network.node(neighbor),
-                                ClassicalFiberChannel).transmit(msg, node)
+        """Send `msg` to the neighbour named `neighbor` (from the hop map);
+        the first channel installed toward it always carries it."""
+        channel = self._channels.get(neighbor)
+        if channel is None:
+            node = self.node
+            network = node.network
+            channel = self._channels[neighbor] = network.channel_between(
+                node, network.node(neighbor), ClassicalFiberChannel)
+        channel.transmit(msg, self.node)
 
     def relay(self, msg, end):
         """Send `msg`, which only the node named `end` reads, as one event
@@ -271,12 +269,24 @@ class QKDRMP:
             return
         self.forward(msg, up)
         request.advance("queued")
+        head = self.queue[0] if self.queue else None
         self.queue.append(request)
         self.try_process()
+        if self.queue and self.queue[0] is not head:
+            self._watch(self.queue[0])
 
     def _take_or_wait(self, request):
         if not self._take_local(request):
             self.waiting_local.append(request)
+            self._watch(request)
+
+    def _watch(self, request):
+        """Arm the clock no later than the first instant at which this node
+        could serve `request`, its queue head or a waiting endnode request."""
+        if self.clock is not None:
+            instant = self._instant(request)
+            if instant is not None:
+                self.clock.arm(instant)
 
     def _take_local(self, request) -> bool:
         """Take this end's segment keys if its pool serves them; False
@@ -333,6 +343,19 @@ class QKDRMP:
         request.completed_ps = self.env.now
 
     # --- pool recovery ----------------------------------------------------
+    def _instant(self, request):
+        """The first keygen instant at which this node could take the keys
+        of `request` if nothing is taken first, or None if never."""
+        instants = [self.pools[name].first_instant(request.id, request.key_num)
+                    for name in request.hops[self.node.name] if name is not None]
+        return None if None in instants else max(instants)
+
+    def first_instant(self):
+        """A lower bound of the first keygen instant at which
+        `pool_recovered` would serve something (see `KeyClock`), or None."""
+        instants = map(self._instant, [*self.queue[:1], *self.waiting_local])
+        return min((instant for instant in instants if instant is not None), default=None)
+
     def can_serve(self) -> bool:
         """Whether `pool_recovered` would serve a request now: the queue
         head, or a waiting endnode request."""
@@ -368,9 +391,9 @@ class QKDNode(Node):
         self.rmp.handle_classical(msg, src)
 
     def keygen_tick(self, peer):
-        """Add a key to the pool shared with `peer` and wake the resource
-        managers of both ends, this node's first, that can now serve a
-        request they hold."""
+        """Count this instant's key in the pool shared with `peer` and wake
+        the resource managers of both ends, this node's first, that can now
+        serve a request they hold."""
         if self.rmp.pools[peer.name].add_key():
             for rmp in (self.rmp, peer.rmp):
                 if (rmp.queue or rmp.waiting_local) and rmp.can_serve():
@@ -403,7 +426,7 @@ class KeyDistributionNetwork:
                 continue
             a, b = link.ends
             pool = KeyPool(pool_capacity, key_length=key_length,
-                           rng=env.rng_for(f"pool:{a.name}:{b.name}"),
+                           rng=partial(env.rng_for, f"pool:{a.name}:{b.name}"),
                            name=f"{a.name}~{b.name}")
             pool.fill()
             key = frozenset((a.name, b.name))

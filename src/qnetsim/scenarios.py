@@ -183,6 +183,7 @@ def run_keypool(settings, seed, out_dir):
         kdn.schedule_request(t, request)
 
     env.run(end_time=end_time)
+    kdn.clock.settle(end_time)  # the keys of the instants up to end_time
 
     processed = sum(1 for r in requests if r.state == "done")
     _write_csv(Path(out_dir) / "results.csv",

@@ -1,6 +1,7 @@
-"""Properties of the key network over small random chains.
+"""Properties of key pools, and of the key network over small random chains.
 
-Every pool conserves keys (generated - delivered == current volume), in
+A pool that counts its keys when read, and draws them when it delivers
+them, matches one that adds and draws a key at every instant.  Every pool conserves keys (generated - delivered == current volume), in
 memory and in `pools.csv`; every finished request holds the same keys at
 both ends, leaves no reservation behind in any pool and completes no
 earlier than a request's round trip over its path allows; a (config,
@@ -8,25 +9,124 @@ seed) pair writes the same bytes when it is run again; and the
 relay-only messages (REJECT, CIPHERTEXT, DONE) are handled only at the
 request end they travel to, arriving from a neighbour of that end.
 The outputs also match those of the rules the event diet replaced: one
-keygen clock per pool, each re-armed at every instant, a new key that
-wakes every resource manager with anything waiting, and REQUEST forwarded
-hop by hop.
+keygen clock per pool, each run at every instant rather than only at
+instants that can serve, a new key that wakes every resource manager with
+anything waiting, and REQUEST forwarded hop by hop.
 """
 
 import csv
 import tempfile
-from collections import Counter
+from collections import Counter, deque
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from qnetsim import scenarios
+from qnetsim.des import Event
 from qnetsim.netmodel.channel import ClassicalFiberChannel, classical_delay_ps
+from qnetsim.protocols import KeyPool
 from qnetsim.protocols.qkd_network import (QKDRMP, KeyClock, KeyDistributionNetwork,
                                           QKDNode)
 
 OUTPUTS = ("results.csv", "pools.csv", "trace.log")
+
+
+class _EagerPool:
+    """Reference pool: a key per instant while there is room, drawn one
+    per-bit draw at a time when it is added."""
+
+    def __init__(self, v_max, v_interrupt, v_recover, key_length, seed):
+        self.v_max, self.v_interrupt, self.v_recover = v_max, v_interrupt, v_recover
+        self.key_length = key_length
+        self.rng = np.random.default_rng(seed)
+        self.keys = deque()
+        self.status = "serving"
+        self.generated = self.delivered = 0
+
+    def add(self):
+        if len(self.keys) < self.v_max:
+            self.keys.append("".join(map(str, self.rng.integers(0, 2, self.key_length))))
+            self.generated += 1
+            if self.status == "replenishing" and len(self.keys) >= self.v_recover:
+                self.status = "serving"
+
+    def deliver(self, count):
+        if self.status != "serving" or len(self.keys) < count:
+            return None
+        keys = [self.keys.popleft() for _ in range(count)]
+        self.delivered += count
+        if len(self.keys) < self.v_interrupt:
+            self.status = "replenishing"
+        return keys
+
+    def instants_until_serving(self, count):
+        if count > self.v_max:
+            return None
+        volume, status, instants = len(self.keys), self.status, 0
+        while not (status == "serving" and volume >= count):
+            volume, instants = min(volume + 1, self.v_max), instants + 1
+            if volume >= self.v_recover:
+                status = "serving"
+        return instants
+
+
+@st.composite
+def pool_runs(draw):
+    v_max = draw(st.integers(1, 20))
+    v_interrupt = draw(st.integers(0, v_max))
+    v_recover = draw(st.integers(v_interrupt, v_max))
+    ops = draw(st.lists(st.one_of(
+        st.tuples(st.just("advance"), st.integers(0, 2 * v_max)),
+        st.tuples(st.sampled_from(["deliver", "take", "fill"]), st.integers(1, v_max)),
+        st.tuples(st.just("read"), st.just(0))), max_size=40))
+    return v_max, v_interrupt, v_recover, draw(st.integers(0, 40)), ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(pool_runs(), st.integers(0, 2**32 - 1))
+def test_lazy_pool_matches_a_pool_that_adds_a_key_per_instant(run, seed):
+    v_max, v_interrupt, v_recover, key_length, ops = run
+    pool = KeyPool(v_max, key_length, v_interrupt, v_recover,
+                   rng=np.random.default_rng(seed)).fill()
+    # instant k falls on 3k ps; the pool counts the instants before now
+    pool.clock = clock = SimpleNamespace(env=SimpleNamespace(now=1), start_ps=0,
+                                         interval_ps=3)
+    eager = _EagerPool(v_max, v_interrupt, v_recover, key_length, seed)
+    for _ in range(v_max):
+        eager.add()
+    passed, reserved, request_ids = 0, deque(), iter(range(len(ops)))
+    for op, n in ops:
+        if op == "advance":
+            clock.env.now += 3 * n
+            passed += n
+            for _ in range(n):
+                eager.add()
+        elif op == "fill":
+            pool.fill(n)
+            for _ in range(n):
+                eager.add()
+        elif op == "deliver":
+            assert pool.deliver(n) == eager.deliver(n)
+        elif op == "take":  # the first end of a segment
+            request_id = next(request_ids)
+            keys = pool.take_for(request_id, n)
+            assert keys == eager.deliver(n)
+            if keys is not None:
+                reserved.append((request_id, keys))
+        elif reserved:  # the second end reads the same keys
+            request_id, keys = reserved.popleft()
+            assert pool.take_for(request_id, v_max) == keys
+        assert (pool.v_current, pool.status, pool.generated, pool.delivered) == (
+            len(eager.keys), eager.status, eager.generated, eager.delivered)
+        for count in range(1, v_max + 2):
+            instants = eager.instants_until_serving(count)
+            assert pool.first_instant(None, count) == (
+                None if instants is None else passed + instants)
+        for request_id, _ in reserved:
+            assert pool.first_instant(request_id, v_max + 1) == passed
 
 
 @st.composite
@@ -122,18 +222,20 @@ def test_relay_only_messages_are_handled_only_at_their_end(config, key_num, seed
 # ---- the rules the event diet replaced ------------------------------------
 
 def _clock_per_pool(kdn):
+    # kdn.clock ends as the last pool's clock, which run_keypool settles; the
+    # walks at every instant keep every pool settled anyway
     env = kdn.network.env
     for key in sorted(kdn.pools, key=sorted):  # generator order
         pool = kdn.pools[key]
-        KeyClock(pool.name, env, kdn.interval_ps, [(*kdn._ends[key], pool)])
+        kdn.clock = KeyClock(pool.name, env, kdn.interval_ps, [(*kdn._ends[key], pool)])
+        kdn.clock.event = env.schedule(Event(env.now + kdn.interval_ps, kdn.clock, "keygen"))
 
 
 def _rearming_keygen(clock):
-    for node, peer, pool in clock.generators:
-        if len(pool.keys) < pool.v_max:
-            node.keygen_tick(peer)
-    clock.event.time = clock.env.now + clock.interval_ps
-    clock.env.schedule(clock.event)
+    # every instant: a full pool's add_key adds nothing, as a skipped pool did
+    for node, peer, _ in clock.generators:
+        node.keygen_tick(peer)
+    clock.event = clock.env.schedule(Event(clock.env.now + clock.interval_ps, clock, "keygen"))
 
 
 def _wake_every_waiter(node, peer):
@@ -189,12 +291,14 @@ def trees(draw):
 @given(trees(), st.integers(0, 2**32 - 1))
 # hop delay == interval, so messages sent at one instant arrive at the next,
 # where the reference runs one timer per pool; here a wake-up inside an
-# instant's walk takes from a pool later in the walk, which that instant refills
+# instant's walk takes from a pool later in the walk, which that instant refills,
+# so that pool must count the instant's key after the take
 @example({"scenario": "keypool", "n_repeaters": 6, "extra_endnodes": [["E0", 0]],
           "distance_km": 1.0, "keygen_rate": 200_000.0, "capacity": 16, "key_num": 14,
           "key_length": 8, "num_requests": 53, "end_time_ps": 4_820_000_000}, 160849039)
-# hop delay == interval here too, and every pool fills up, so the clock
-# sleeps until a take wakes it, while the reference's timers never sleep
+# hop delay == interval here too, and every pool fills up between requests:
+# the clock runs only at instants that can serve, while the reference's
+# timers run at every instant
 @example({"scenario": "keypool", "n_repeaters": 5, "extra_endnodes": [["E0", 2], ["E1", 2]],
           "distance_km": 0.5, "keygen_rate": 400_000.0, "capacity": 19, "key_num": 18,
           "key_length": 8, "num_requests": 41, "end_time_ps": 605_000_000}, 896963902)
@@ -204,6 +308,7 @@ def test_outputs_match_the_replaced_rules(config, seed):
         scenarios.run_scenario(config, seed, new)
         with mock.patch.object(KeyDistributionNetwork, "start", _clock_per_pool), \
                 mock.patch.object(KeyClock, "keygen", _rearming_keygen), \
+                mock.patch.object(KeyClock, "arm", lambda clock, instant: None), \
                 mock.patch.object(QKDNode, "keygen_tick", _wake_every_waiter), \
                 mock.patch.object(QKDRMP, "initiate", _initiate_hop_by_hop), \
                 mock.patch.dict(QKDRMP._HANDLERS, {"REQUEST": _forward_request}):

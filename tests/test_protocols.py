@@ -78,7 +78,7 @@ def test_pool_take_for_serves_both_segment_ends_identically():
 
 def test_pool_keys_have_requested_length():
     pool = KeyPool(5, key_length=16).fill()
-    assert all(len(k) == 16 and set(k) <= {"0", "1"} for k in pool.keys)
+    assert all(len(k) == 16 and set(k) <= {"0", "1"} for k in pool.deliver(5))
 
 
 # ---- XOR relay ------------------------------------------------------------
@@ -120,11 +120,10 @@ def test_xor_key_lists_rejects_length_mismatch(ka, kb):
 
 @pytest.mark.parametrize("key_length", [0, 1, 32, 257])
 def test_new_key_matches_per_bit_reference(key_length):
-    pool = KeyPool(4, key_length=key_length, rng=np.random.default_rng(11))
+    pool = KeyPool(5, key_length=key_length, rng=np.random.default_rng(11)).fill()
     reference = np.random.default_rng(11)
-    for _ in range(5):
-        expected = "".join(map(str, reference.integers(0, 2, key_length)))
-        assert pool._new_key() == expected
+    assert pool.deliver(5) == ["".join(map(str, reference.integers(0, 2, key_length)))
+                               for _ in range(5)]
 
 
 def test_trusted_repeater_unwind():
@@ -480,48 +479,60 @@ def _keygen_network(distance_km=1.0, keygen_rate=1000.0, capacity=10, **chain):
     return env, kdn
 
 
+class _Probe:
+    """Event owner that calls `look` when it runs."""
+    name = "probe"
+
+    def __init__(self, look):
+        self.look = look
+
+
 def test_keygen_clock_is_the_one_pending_keygen_event():
     env, kdn = _keygen_network(n_repeaters=1)  # two full pools, 1 ms interval
-    clock = kdn.clock
-    assert [event for *_, event in env.fel] == [clock.event]
+    clock, ms = kdn.clock, 10**9
+    assert env.fel == []  # nothing waits, so no instant can serve
     pool = kdn.pools[frozenset(("A", "R1"))]
-    # a take between two instants, then one on an instant after the clock slept
-    env.schedule_at(2_500_000_000, pool, "deliver", 3)
-    env.schedule_at(7 * 10**9, pool, "deliver", 1)
-    env.run(end_time=12 * 10**9)
-    # the clock sleeps while both pools are full, and a take that leaves room
-    # wakes it at its next instant on the 1 ms grid
-    assert env.trace == [
-        (10**9, 0, 0, "kdnet.keygen"),
-        (2_500_000_000, 0, 1, "A~R1.deliver"),
-        (3 * 10**9, 0, 3, "kdnet.keygen"), (4 * 10**9, 0, 4, "kdnet.keygen"),
-        (5 * 10**9, 0, 5, "kdnet.keygen"),
-        (7 * 10**9, 0, 2, "A~R1.deliver"),
-        (8 * 10**9, 0, 6, "kdnet.keygen")]
-    assert env.fel == [] and clock.asleep
-    assert pool.generated == 10 + 4 and pool.v_current == pool.v_max
-    assert pool.deliver(1) is not None and clock.asleep  # a finished run stays finished
+    env.schedule_at(2_500_000_000, pool, "deliver", 7)  # 3 of 10 left
+    # A -> B for 8 keys waits at R1 and A for 5 more keys in A~R1: instant 7
+    request = KeyRequest(id=0, src="A", dst="B", key_num=8)
+    kdn.schedule_request(2_600_000_000, request)
+    # a take after the clock was armed makes it one instant early
+    env.schedule_at(4_500_000_000, pool, "deliver", 1)
+    armed = []
+    for time in (2_550_000_000, 3 * ms, 5 * ms, 7_500_000_000):
+        env.schedule_at(time, _Probe(lambda: armed.append(
+            [event.time for *_, event in env.fel
+             if event.owner is clock and not event.cancelled])), "look")
+    env.run(end_time=12 * ms)
+    assert armed == [[], [7 * ms], [7 * ms], [8 * ms]]
+    # the walk at 7 ms serves nothing and re-arms; the one at 8 ms serves
+    assert [line[0] for line in env.trace if line[3] == "kdnet.keygen"] == [7 * ms, 8 * ms]
+    assert request.state == "done" and request.src_keys == request.dst_keys
+    assert clock.event is None and env.fel == []
+    assert pool.generated == 10 + 6 and pool.delivered == 7 + 1 + 8  # instants 3-8
+    assert pool.v_current == 0 and pool.status == "replenishing"
 
 
 def test_pool_generated_is_fill_plus_instants_with_room():
     env, kdn = _keygen_network(keygen_rate=20_000.0, capacity=12, n_repeaters=2,
                                extra_endnodes=[("C", 0)])
-    clock = kdn.clock
     room = dict.fromkeys(kdn.pools, 0)
-    keygen = clock.keygen
+    end = 2 * 10**10
 
-    def counting_keygen():  # looks at the pools before the clock adds keys
+    def look():  # runs at each instant before any other event there
         for key, pool in kdn.pools.items():
             room[key] += pool.v_current < pool.v_max
-        keygen()
 
-    clock.keygen = counting_keygen
+    probe = _Probe(look)
+    for instant in range(1, end // kdn.interval_ps + 1):
+        env.schedule_at(instant * kdn.interval_ps, probe, "look")
     rng = env.rng_for("wl")
     for rid in range(30):
         src, dst = rng.choice(["A", "B", "C"], 2, replace=False)
         kdn.schedule_request(int(rng.integers(0, 10**10)),
                              KeyRequest(id=rid, src=str(src), dst=str(dst), key_num=5))
-    env.run(end_time=2 * 10**10)
+    env.run(end_time=end)
+    kdn.clock.settle(end)
     assert all(room.values())  # every pool was drained and refilled
     for key, pool in kdn.pools.items():
         assert pool.generated == pool.v_max + room[key]
@@ -532,24 +543,26 @@ def test_hop_delay_equal_to_interval_keeps_one_clock():
     # 4 km of fiber is 20 us, the interval of 50,000 keys/s: one clock still
     # walks every pool
     env, kdn = _keygen_network(distance_km=4.0, keygen_rate=50_000.0, n_repeaters=1)
-    clock = kdn.clock
+    clock, hop = kdn.clock, 20 * 10**6
     assert clock.name == "kdnet"
     assert [(a.name, b.name, pool.name) for a, b, pool in clock.generators] == [
         ("A", "R1", "A~R1"), ("R1", "B", "R1~B")]
-    first, second = (kdn.pools[frozenset(key)] for key in (("A", "R1"), ("R1", "B")))
-    # takes from the second pool, then the first, between the second and third
-    # instants: the first take wakes the clock for the third, the second finds
-    # it awake, and that one instant refills both pools
-    env.schedule_at(50 * 10**6, second, "deliver", 1)
-    env.schedule_at(50 * 10**6 + 1, first, "deliver", 1)
-    env.run(end_time=4 * 20 * 10**6)
-    # both pools start full, so the clock sleeps after the first instant
-    assert [(line[0], line[3]) for line in env.trace] == [
-        (20 * 10**6, "kdnet.keygen"), (50 * 10**6, "R1~B.deliver"),
-        (50 * 10**6 + 1, "A~R1.deliver"), (60 * 10**6, "kdnet.keygen")]
-    for pool in (first, second):
-        assert pool.v_current == pool.v_max and pool.generated == pool.v_max + 1
-    assert env.fel == [] and clock.asleep
+    first = kdn.pools[frozenset(("A", "R1"))]
+    env.schedule_at(hop // 4, first, "deliver", 9)  # replenishing until instant 9
+    request = KeyRequest(id=0, src="A", dst="B", key_num=5)
+    kdn.schedule_request(hop // 2, request)
+    env.run(end_time=20 * hop)
+    # R1 and A wait for the first pool, and the walk at instant 9 serves both;
+    # CIPHERTEXT and DONE, sent there, land on instants 10 and 12, where
+    # nothing waits and the clock is not armed
+    assert [line[0] for line in env.trace if line[3] == "kdnet.keygen"] == [9 * hop]
+    assert request.state == "done" and request.completed_ps == 12 * hop
+    assert request.src_keys == request.dst_keys
+    assert clock.event is None and env.fel == []
+    kdn.clock.settle(20 * hop)
+    for pool in kdn.pools.values():
+        assert pool.v_current == pool.v_max
+        assert pool.generated - pool.delivered == pool.v_current
 
 
 def test_added_keys_wake_only_waiting_resource_managers(monkeypatch):
@@ -563,8 +576,10 @@ def test_added_keys_wake_only_waiting_resource_managers(monkeypatch):
     for pool in kdn.pools.values():
         pool.deliver(5)  # room for keys, but nothing waits for them
     env.run(end_time=10 * 10**9)
+    kdn.clock.settle(10 * 10**9)
     assert all(pool.generated == 15 for pool in kdn.pools.values())
-    assert calls == []
+    # the pools counted their keys themselves: no instant ran, none woke anyone
+    assert calls == [] and env.trace == []
 
 
 def test_keygen_rate_must_give_a_positive_interval():
@@ -582,18 +597,16 @@ def _reference_keys(seed, key_length, count):
 
 @pytest.mark.parametrize("key_length", [0, 1, 7, 32])
 def test_pool_keys_across_block_boundaries_match_single_draws(key_length):
-    pool = KeyPool(200, key_length=key_length, rng=np.random.default_rng(5))
-    pool.fill(150)  # crosses two 64-key blocks
-    pool.add_key()
-    assert list(pool.keys) == _reference_keys(5, key_length, 151)
+    pool = KeyPool(200, key_length=key_length, rng=np.random.default_rng(5)).fill()
+    keys = pool.deliver(60) + pool.deliver(10) + pool.deliver(81)  # crosses two blocks
+    assert keys == _reference_keys(5, key_length, 151)
 
 
 def test_fill_on_partly_full_pool_draws_one_key_per_slot():
     pool = KeyPool(10, key_length=8, rng=np.random.default_rng(3)).fill(6)
-    pool.fill()  # ten draws for four free slots: six keys are dropped
-    expected = _reference_keys(3, 8, 17)
-    assert list(pool.keys) == expected[:10]
-    assert pool.generated == 10
+    pool.fill()  # four free slots take four keys; nothing is drawn until delivery
+    assert pool.v_current == pool.generated == 10
+    expected = _reference_keys(3, 8, 11)
     assert pool.deliver(1) == expected[:1]
-    pool.add_key()  # the seventeenth draw of the stream
-    assert pool.keys[-1] == expected[16]
+    assert pool.add_key() and pool.generated == 11
+    assert pool.deliver(10) == expected[1:]  # the eleventh key is the eleventh draw
