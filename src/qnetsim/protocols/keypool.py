@@ -11,7 +11,8 @@ the pool adds, in bulk, the keys of the instants that passed since it
 was last settled.  Keys get their values when they are delivered: the
 k-th key delivered is the k-th draw of the pool's random stream, as if
 each key had been drawn when it was added, and keys that are never
-delivered are never drawn.
+delivered are never drawn.  A key is an int of `key_length` bits, the
+first drawn bit the most significant.
 """
 
 from __future__ import annotations
@@ -20,22 +21,31 @@ from functools import partial
 
 import numpy as np
 
-_BIT_CHARS = bytes.maketrans(b"\x00\x01", b"01")  # bit bytes -> '0'/'1'
 _BLOCK = 64  # keys drawn from the pool's random stream per call
+
+
+def _whole(name, value, low):
+    """`value` as an int, if it is a whole number >= `low`."""
+    try:
+        if int(value) == value and value >= low:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):  # not a finite number
+        pass
+    raise ValueError(f"{name} must be a whole number >= {low}, got {value!r}")
 
 
 class KeyPool:
     def __init__(self, v_max, key_length=32, v_interrupt=None, v_recover=None,
                  rng=None, name=""):
-        if v_max <= 0:
-            raise ValueError("pool capacity must be positive")
         self.name = name
-        self.v_max = int(v_max)
-        self.v_interrupt = int(v_interrupt) if v_interrupt is not None else self.v_max // 4
-        self.v_recover = int(v_recover) if v_recover is not None else self.v_max
-        if not (0 <= self.v_interrupt <= self.v_recover <= self.v_max):
+        self.v_max = _whole("v_max", v_max, 1)
+        self.v_interrupt = (_whole("v_interrupt", v_interrupt, 0)
+                            if v_interrupt is not None else self.v_max // 4)
+        self.v_recover = (_whole("v_recover", v_recover, 0)
+                          if v_recover is not None else self.v_max)
+        if not (self.v_interrupt <= self.v_recover <= self.v_max):
             raise ValueError("thresholds must satisfy 0 <= V_i <= V_r <= V_m")
-        self.key_length = key_length
+        self.key_length = _whole("key_length", key_length, 0)
         self.delivered = 0
         self.clock = None  # the KeyClock whose instants add keys, set by it
         self._volume = 0
@@ -106,10 +116,11 @@ class KeyPool:
         while len(ahead) < count:
             if callable(self._rng):
                 self._rng = self._rng()
-            n = self.key_length
-            bits = self._rng.integers(0, 2, (_BLOCK, n))
-            text = bits.astype(np.uint8).tobytes().translate(_BIT_CHARS).decode("ascii")
-            ahead += [text[i * n:(i + 1) * n] for i in range(_BLOCK)]
+            bits = self._rng.integers(0, 2, (_BLOCK, self.key_length)).astype(np.uint8)
+            data = np.packbits(bits, axis=1).tobytes()  # each key 0-padded to bytes
+            width, pad = len(data) // _BLOCK, -self.key_length % 8
+            ahead += [int.from_bytes(data[i * width:(i + 1) * width], "big") >> pad
+                      for i in range(_BLOCK)]
         keys, self._ahead = ahead[:count], ahead[count:]
         return keys
 
@@ -158,8 +169,7 @@ class KeyPool:
         keys = self.deliver(count)
         if keys is not None:
             self._reservations[request_id] = list(keys)
-            return list(keys)
-        return None
+        return keys
 
     def __repr__(self):
         return (f"KeyPool({self.name!r}, Vc={self.v_current}/{self.v_max}, "

@@ -14,13 +14,13 @@ order of their sorted endpoint names, whatever the channel delays.  A
 pool counts the keys of the instants that passed when it is read, and
 draws a key's value only when it delivers it, so the clock runs an event
 only at instants that could serve a waiting request.  An added key
-wakes a resource manager of its segment only when that manager can now
-serve a request it holds: the head of its queue, when both of the head's
-pools can serve it, or one of its waiting endnode requests.  A repeater
-serves a request by taking keys from its upstream and downstream pools
-and relaying the one-time-pad ciphertext c = k_up XOR k_down to the
-destination, which unwinds the chain of ciphertexts to recover the
-sender-side key.
+wakes the resource managers at both ends of its segment, which serve
+what they can: the head of the queue, when both of the head's pools can
+serve it, and the waiting endnode requests.  A key is an int of the
+pools' key length (see `KeyPool`).  A repeater serves a request by
+taking keys from its upstream and downstream pools and relaying the
+one-time-pad ciphertext c = k_up XOR k_down to the destination, which
+unwinds the chain of ciphertexts to recover the sender-side key.
 
 Request lifecycle: the source issues a request toward the destination;
 the first node on the path that would take from a pool that can never
@@ -46,8 +46,7 @@ bring it there and is sent from its last hop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
-from itertools import accumulate
+from functools import partial, reduce
 
 from ..des import Event
 from ..netmodel.channel import ClassicalFiberChannel, QuantumFiberChannel
@@ -55,26 +54,11 @@ from ..netmodel.network import Link, Network, Node
 from .keypool import KeyPool
 
 
-def xor_keys(a: str, b: str) -> str:
-    """Bitwise XOR of two equal-length '0'/'1' strings."""
-    if len(a) != len(b):
-        raise ValueError("key lengths differ")
-    if not a:
-        return ""
-    return format(int(a, 2) ^ int(b, 2), f"0{len(a)}b")
-
-
 def xor_key_lists(ka, kb):
-    """Keywise XOR of two lists of '0'/'1' keys, as one integer XOR over
-    each list joined into one string, sliced back into keys."""
-    lengths = list(map(len, ka))
-    if lengths != list(map(len, kb)):
-        raise ValueError("key lengths differ")
-    a = "".join(ka)
-    if not a:
-        return list(ka)
-    bits = format(int(a, 2) ^ int("".join(kb), 2), f"0{len(a)}b")
-    return [bits[end - n:end] for end, n in zip(accumulate(lengths), lengths)]
+    """Keywise XOR of two equally long lists of int keys."""
+    if len(ka) != len(kb):
+        raise ValueError("key lists differ in length")
+    return [a ^ b for a, b in zip(ka, kb)]
 
 
 @dataclass
@@ -83,7 +67,6 @@ class KeyRequest:
     src: str
     dst: str
     key_num: int = 10
-    key_length: int = 32
     state: str = "issued"
     issued_ps: int = 0
     completed_ps: int | None = None
@@ -115,8 +98,8 @@ class KeyClock:
     from the pools' reservations, status, volume and V_r as if nothing were
     taken first.  There the clock walks its `(node, peer, pool)` generators
     in order, has `node` count the instant's key toward `peer`
-    (`QKDNode.keygen_tick`, which wakes the resource managers of both ends
-    that can now serve), and re-arms at the least bound of all.
+    (`QKDNode.keygen_tick`, which wakes the resource managers of both
+    ends), and re-arms at the least bound of all.
 
     Why this keeps every result: a wake that turns out early is harmless,
     since a walk that serves nothing only adds keys, which the pools count
@@ -318,9 +301,8 @@ class QKDRMP:
             self.queue.pop(0)
             request.advance("serving")
             up, down = request.hops[self.node.name]
-            k_up = self.pools[up].take_for(request.id, request.key_num)
-            k_down = self.pools[down].take_for(request.id, request.key_num)
-            cipher = xor_key_lists(k_up, k_down)
+            cipher = xor_key_lists(self.pools[up].take_for(request.id, request.key_num),
+                                   self.pools[down].take_for(request.id, request.key_num))
             self.relay({"type": "CIPHERTEXT", "request": request,
                         "repeater": self.node.name, "cipher": cipher}, request.dst)
 
@@ -332,10 +314,9 @@ class QKDRMP:
     def _try_complete_dst(self, request):
         if request.dst_keys is None or len(request.ciphertexts) < len(request.hops) - 2:
             return  # wait for this end's keys and every repeater's ciphertext
-        keys = request.dst_keys
-        for cipher in request.ciphertexts.values():  # XOR commutes: any order
-            keys = xor_key_lists(keys, cipher)
-        request.dst_keys = keys  # now equals the source-side segment keys
+        # XOR commutes, so any order gives the source-side segment keys
+        request.dst_keys = reduce(xor_key_lists, request.ciphertexts.values(),
+                                  request.dst_keys)
         self.relay({"type": "DONE", "request": request}, request.src)
 
     def _on_done(self, request, msg):
@@ -356,20 +337,10 @@ class QKDRMP:
         instants = map(self._instant, [*self.queue[:1], *self.waiting_local])
         return min((instant for instant in instants if instant is not None), default=None)
 
-    def can_serve(self) -> bool:
-        """Whether `pool_recovered` would serve a request now: the queue
-        head, or a waiting endnode request."""
-        if self._ready_head() is not None:
-            return True
-        for request in self.waiting_local:
-            up, down = request.hops[self.node.name]
-            if self.pools[up or down].can_take_for(request.id, request.key_num):
-                return True
-        return False
-
     def pool_recovered(self):
-        """Serve what waits on this node's pools; a no-op when nothing can
-        be served (`can_serve`)."""
+        """Serve what waits on this node's pools: the queue head, when both
+        of its pools can serve it, and each waiting endnode request whose
+        pool can.  A no-op when nothing can be served."""
         self.try_process()
         self.waiting_local = [request for request in self.waiting_local
                               if not self._take_local(request)]
@@ -391,13 +362,12 @@ class QKDNode(Node):
         self.rmp.handle_classical(msg, src)
 
     def keygen_tick(self, peer):
-        """Count this instant's key in the pool shared with `peer` and wake
-        the resource managers of both ends, this node's first, that can now
-        serve a request they hold."""
+        """Count this instant's key in the pool shared with `peer` and, if
+        it fits, wake the resource managers of both ends, this node's first
+        (`QKDRMP.pool_recovered`)."""
         if self.rmp.pools[peer.name].add_key():
             for rmp in (self.rmp, peer.rmp):
-                if (rmp.queue or rmp.waiting_local) and rmp.can_serve():
-                    rmp.pool_recovered()
+                rmp.pool_recovered()
 
 
 def keygen_interval_ps(keygen_rate) -> int:

@@ -160,14 +160,14 @@ def run_bb84(settings, seed, out_dir):
 # ---- key-pool architecture -----------------------------------------------
 
 def run_keypool(settings, seed, out_dir):
-    end_time, key_length = settings["end_time_ps"], settings["key_length"]
+    end_time = settings["end_time_ps"]
     extra = _extra_endnodes(settings["extra_endnodes"], settings["n_repeaters"])
     env = SimEnv("keypool", seed=seed)
     network, endnodes = build_chain_network(env, n_repeaters=settings["n_repeaters"],
                                             extra_endnodes=extra,
                                             distance_km=settings["distance_km"])
     kdn = KeyDistributionNetwork(network, endnodes, pool_capacity=settings["capacity"],
-                                 key_length=key_length,
+                                 key_length=settings["key_length"],
                                  keygen_rate=settings["keygen_rate"])
     env.init()
     kdn.start()
@@ -178,7 +178,7 @@ def run_keypool(settings, seed, out_dir):
         src, dst = workload_rng.choice(endnodes, size=2, replace=False)
         t = int(workload_rng.integers(0, int(end_time * 0.8)))
         request = KeyRequest(id=rid, src=str(src), dst=str(dst),
-                             key_num=settings["key_num"], key_length=key_length)
+                             key_num=settings["key_num"])
         requests.append(request)
         kdn.schedule_request(t, request)
 

@@ -1,13 +1,15 @@
 """Properties of key pools, and of the key network over small random chains.
 
 A pool that counts its keys when read, and draws them when it delivers
-them, matches one that adds and draws a key at every instant.  Every pool conserves keys (generated - delivered == current volume), in
-memory and in `pools.csv`; every finished request holds the same keys at
-both ends, leaves no reservation behind in any pool and completes no
-earlier than a request's round trip over its path allows; a (config,
-seed) pair writes the same bytes when it is run again; and the
-relay-only messages (REJECT, CIPHERTEXT, DONE) are handled only at the
-request end they travel to, arriving from a neighbour of that end.
+them, matches one that adds and draws a key at every instant, and its
+keys, of any length, are the per-bit draws of its stream.  Every pool
+conserves keys (generated - delivered == current volume), in memory and
+in `pools.csv`; every finished request holds the same keys at both ends,
+leaves no reservation behind in any pool and completes no earlier than a
+request's round trip over its path allows; a (config, seed) pair writes
+the same bytes when it is run again; and the relay-only messages
+(REJECT, CIPHERTEXT, DONE) are handled only at the request end they
+travel to, arriving from a neighbour of that end.
 The outputs also match those of the rules the event diet replaced: one
 keygen clock per pool, each run at every instant rather than only at
 instants that can serve, a new key that wakes every resource manager with
@@ -30,6 +32,7 @@ from qnetsim.netmodel.channel import ClassicalFiberChannel, classical_delay_ps
 from qnetsim.protocols import KeyPool
 from qnetsim.protocols.qkd_network import (QKDRMP, KeyClock, KeyDistributionNetwork,
                                           QKDNode)
+from test_protocols import reference_key
 
 OUTPUTS = ("results.csv", "pools.csv", "trace.log")
 
@@ -48,7 +51,7 @@ class _EagerPool:
 
     def add(self):
         if len(self.keys) < self.v_max:
-            self.keys.append("".join(map(str, self.rng.integers(0, 2, self.key_length))))
+            self.keys.append(reference_key(self.rng, self.key_length))
             self.generated += 1
             if self.status == "replenishing" and len(self.keys) >= self.v_recover:
                 self.status = "serving"
@@ -127,6 +130,28 @@ def test_lazy_pool_matches_a_pool_that_adds_a_key_per_instant(run, seed):
                 None if instants is None else passed + instants)
         for request_id, _ in reserved:
             assert pool.first_instant(request_id, v_max + 1) == passed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 300), st.lists(st.integers(1, 100), min_size=1, max_size=8),
+       st.integers(0, 2**32 - 1))
+@example(7, [60, 10, 81], 0)
+@example(8, [64, 1, 63, 2], 1)
+@example(9, [1, 100, 27], 2)
+@example(63, [65, 64], 3)
+@example(64, [63, 2, 100], 4)
+@example(65, [100, 100], 5)
+@example(257, [30, 40, 59], 6)
+def test_delivered_keys_match_the_per_bit_reference(key_length, splits, seed):
+    """Keys delivered in any split, across 64-key blocks, are the per-bit
+    draws of the pool's stream, as ints below 2**key_length."""
+    pool = KeyPool(100, key_length, v_interrupt=0, rng=np.random.default_rng(seed))
+    keys = []
+    for count in splits:
+        keys += pool.fill().deliver(count)
+    rng = np.random.default_rng(seed)
+    assert keys == [reference_key(rng, key_length) for _ in keys]
+    assert all(0 <= key < 2**key_length for key in keys)
 
 
 @st.composite

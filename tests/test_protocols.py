@@ -15,7 +15,7 @@ from qnetsim.protocols import (CLASSICAL_OPTIMAL_WIN_RATE,
                                chsh_play, chsh_quantum_probs, chsh_referee,
                                decoy_bb84_generate, entanglement_swap, teleport)
 from qnetsim.protocols.chsh import classical_win_rate_exhaustive
-from qnetsim.protocols.qkd_network import QKDNode, xor_key_lists, xor_keys
+from qnetsim.protocols.qkd_network import QKDNode, xor_key_lists
 from qnetsim.protocols.teleport import bell_measure
 
 
@@ -32,6 +32,20 @@ def test_pool_threshold_validation():
         KeyPool(10, v_interrupt=8, v_recover=5)
     with pytest.raises(ValueError):
         KeyPool(0)
+
+
+@pytest.mark.parametrize("kwargs,name", [
+    ({"v_max": 0.5}, "v_max"),  # once truncated to a pool of capacity 0
+    ({"v_max": -4}, "v_max"),
+    ({"v_max": 8, "v_interrupt": 1.5}, "v_interrupt"),
+    ({"v_max": 8, "v_recover": 6.5}, "v_recover"),
+    ({"v_max": 8, "key_length": -1}, "key_length"),
+    ({"v_max": 8, "key_length": 2.5}, "key_length"),
+], ids=["v_max-fraction", "v_max-negative", "v_interrupt-fraction",
+        "v_recover-fraction", "key_length-negative", "key_length-fraction"])
+def test_pool_rejects_bad_parameters_at_construction(kwargs, name):
+    with pytest.raises(ValueError, match=f"^{name} must be a whole number"):
+        KeyPool(**kwargs)
 
 
 def test_pool_interrupt_and_recover_cycle():
@@ -78,62 +92,58 @@ def test_pool_take_for_serves_both_segment_ends_identically():
 
 def test_pool_keys_have_requested_length():
     pool = KeyPool(5, key_length=16).fill()
-    assert all(len(k) == 16 and set(k) <= {"0", "1"} for k in pool.deliver(5))
+    assert all(isinstance(k, int) and 0 <= k < 2**16 for k in pool.deliver(5))
+
+
+def reference_key(rng, key_length):
+    """A key drawn from `rng` one 0/1 value at a time, as the int whose
+    most significant bit is the first drawn."""
+    key = 0
+    for bit in rng.integers(0, 2, key_length):
+        key = key << 1 | int(bit)
+    return key
+
+
+def _reference_keys(seed, key_length, count):
+    rng = np.random.default_rng(seed)
+    return [reference_key(rng, key_length) for _ in range(count)]
 
 
 # ---- XOR relay ------------------------------------------------------------
 
-def test_xor_keys_identity():
-    rng = np.random.default_rng(0)
-    a = "".join(map(str, rng.integers(0, 2, 64)))
-    b = "".join(map(str, rng.integers(0, 2, 64)))
-    assert xor_keys(xor_keys(a, b), b) == a
-    assert xor_keys(a, a) == "0" * 64
+def test_xor_key_lists_is_self_inverse():
+    ka, kb = _reference_keys(0, 64, 5), _reference_keys(1, 64, 5)
+    assert xor_key_lists(xor_key_lists(ka, kb), kb) == ka
+    assert xor_key_lists(ka, ka) == [0] * 5
 
 
-@given(st.integers(0, 80).flatmap(lambda n: st.tuples(
-    st.text("01", min_size=n, max_size=n), st.text("01", min_size=n, max_size=n))))
-def test_xor_keys_matches_per_character_reference(pair):
-    a, b = pair
-    assert xor_keys(a, b) == "".join("1" if x != y else "0" for x, y in zip(a, b))
+@given(st.lists(st.integers(0, 70).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 2**n - 1), st.integers(0, 2**n - 1)))))
+def test_xor_key_lists_matches_keywise_xor(keys):
+    ka, kb = [a for _, a, _ in keys], [b for *_, b in keys]
+    assert xor_key_lists(ka, kb) == [  # per-bit reference
+        sum(((a >> i & 1) != (b >> i & 1)) << i for i in range(n)) for n, a, b in keys]
 
 
-def test_xor_keys_rejects_length_mismatch():
-    with pytest.raises(ValueError):
-        xor_keys("01", "011")
-
-
-@given(st.lists(st.integers(0, 70)).flatmap(lambda lengths: st.tuples(*(
-    st.tuples(st.text("01", min_size=n, max_size=n), st.text("01", min_size=n, max_size=n))
-    for n in lengths))))
-def test_xor_key_lists_matches_keywise_xor(pairs):
-    ka, kb = [a for a, _ in pairs], [b for _, b in pairs]
-    assert xor_key_lists(ka, kb) == [xor_keys(a, b) for a, b in pairs]
-
-
-@pytest.mark.parametrize("ka,kb", [(["01", "011"], ["011", "01"]),  # same total
-                                   (["01"], ["01", "10"]), (["01", ""], ["01"])])
+@pytest.mark.parametrize("ka,kb", [([1], [1, 2]), ([1, 0], [1]), ([], [0])])
 def test_xor_key_lists_rejects_length_mismatch(ka, kb):
-    with pytest.raises(ValueError, match="key lengths differ"):
+    with pytest.raises(ValueError, match="key lists differ in length"):
         xor_key_lists(ka, kb)
 
 
 @pytest.mark.parametrize("key_length", [0, 1, 32, 257])
 def test_new_key_matches_per_bit_reference(key_length):
     pool = KeyPool(5, key_length=key_length, rng=np.random.default_rng(11)).fill()
-    reference = np.random.default_rng(11)
-    assert pool.deliver(5) == ["".join(map(str, reference.integers(0, 2, key_length)))
-                               for _ in range(5)]
+    assert pool.deliver(5) == _reference_keys(11, key_length, 5)
 
 
 def test_trusted_repeater_unwind():
-    """dst recovers the src segment key from the ciphertext chain."""
-    rng = np.random.default_rng(1)
-    keys = ["".join(map(str, rng.integers(0, 2, 32))) for _ in range(3)]
-    ciphertexts = [xor_keys(keys[i], keys[i + 1]) for i in range(2)]
+    """dst recovers the src segment keys from the ciphertext chain."""
+    keys = [_reference_keys(seed, 32, 4) for seed in range(3)]  # one list per segment
+    ciphertexts = [xor_key_lists(keys[i], keys[i + 1]) for i in range(2)]
     recovered = keys[-1]
     for c in reversed(ciphertexts):
-        recovered = xor_keys(recovered, c)
+        recovered = xor_key_lists(recovered, c)
     assert recovered == keys[0]
 
 
@@ -588,11 +598,6 @@ def test_keygen_rate_must_give_a_positive_interval():
     for rate in (0.0, -5.0, 1e13, float("nan")):
         with pytest.raises(ValueError, match="keygen_rate"):
             KeyDistributionNetwork(network, endnodes, keygen_rate=rate)
-
-
-def _reference_keys(seed, key_length, count):
-    rng = np.random.default_rng(seed)
-    return ["".join(map(str, rng.integers(0, 2, key_length))) for _ in range(count)]
 
 
 @pytest.mark.parametrize("key_length", [0, 1, 7, 32])
