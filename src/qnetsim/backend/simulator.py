@@ -1,10 +1,11 @@
 """Circuit execution: sampling shots and exact branch enumeration.
 
 Both quantum engines run on one branch walker, `walk`.  A program is a
-flat list of steps over register positions: `Gate(matrix, regs, cond)`,
-`Alloc(single)` (a fresh highest register) and `Measure(reg, key, basis,
-drop)`.  At a measurement a split rule picks the outcomes to follow:
-`exact_split` enumerates both, `stratified_split` divides a shot count
+flat list of steps over register positions: `Gate(matrix, rows, regs,
+cond)`, `Alloc(single)` (a fresh highest register) and `Measure(reg, key,
+basis, drop)`, checked once, when the program is built.  At a
+measurement a split rule picks the outcomes to follow: `exact_split`
+enumerates both, `stratified_split` divides a shot count
 binomially and `shot_split` samples one.  `run_circuit` walks its
 program once with the stratified rule: the histogram is multinomial over
 the leaves, as for independent shots, and each realised branch is
@@ -20,7 +21,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .gates import gate_matrix
-from .statevector import StateVector
+from .statevector import StateVector, _sq_norm
 
 EXACT_STATE_MAX_WIDTH = 20
 
@@ -39,8 +40,10 @@ def is_standard(circ: Circuit) -> bool:
 
 
 class Gate(NamedTuple):
-    """Apply `matrix` to `regs`; with `cond`, only if that key measured 1."""
+    """Apply the complex `matrix` (`rows` is its `tolist()`) to `regs`;
+    with `cond`, only if that key measured 1."""
     matrix: np.ndarray
+    rows: list
     regs: tuple
     cond: object = None
 
@@ -81,11 +84,14 @@ def shot_split(rng):
 def walk(program, state, split, weight, leaf):
     """Run `program` on `state`, branching at every measurement.
 
-    A measurement rotates by its basis (if any), reads p1, and asks
-    `split(p1, weight)` for the (bit, weight) branches to follow; the last
-    branch takes `state` itself, any other a copy.  Each finished branch
-    calls `leaf(outcomes, weight, state)`, where outcomes maps key -> bit.
-    The walk is depth first, bit 0 before bit 1.
+    Gates run unchecked, through `StateVector._apply`.  A measurement
+    rotates by its basis (if any) and reads |half 1|^2 once, as the p1 it
+    passes to `split(p1, weight)` for the (bit, weight) branches to follow
+    and as bit 0's divisor 1 - p1; |half 0|^2 is read only for bit 1.
+    `StateVector.collapse` builds each branch in one pass, the last in
+    `state` itself.  Each finished branch calls `leaf(outcomes, weight,
+    state)`, where outcomes maps key -> bit.  The walk is depth first, bit
+    0 before bit 1.
     """
     outcomes = {}
 
@@ -95,23 +101,25 @@ def walk(program, state, split, weight, leaf):
             i += 1
             if type(step) is Gate:
                 if step.cond is None or outcomes[step.cond]:
-                    state.apply(step.matrix, step.regs)
+                    state._apply(step.matrix, step.rows, step.regs)
             elif type(step) is Alloc:
                 state.append_qubit(step.single)
             else:
                 reg, key, basis, drop = step
                 if basis is not None:
-                    state.apply(basis(outcomes), (reg,))
-                branches = split(state.prob_one(reg), weight)
+                    u = basis(outcomes)
+                    state._apply(u, u.tolist(), (reg,))
+                half0, half1 = state._halves(reg)
+                p1 = _sq_norm(half1)
+                branches = split(min(p1, 1.0), weight)  # rounding can exceed 1
                 if not branches:
                     return
+                last = branches[-1][0]
                 for bit, weight in branches:
-                    branch = state if bit == branches[-1][0] else state.copy()
-                    branch.project(reg, bit)
-                    if drop:
-                        branch.remove_qubit(reg, bit)
+                    p = 1.0 - (_sq_norm(half0) if bit else p1)
+                    branch = state.collapse(reg, bit, p, drop, bit == last)
                     outcomes[key] = bit
-                    if branch is not state:
+                    if bit != last:
                         run(i, branch, weight)
         leaf(outcomes, weight, state)
 
@@ -119,10 +127,12 @@ def walk(program, state, split, weight, leaf):
 
 
 def circuit_program(instructions):
-    """Walker program of circuit instructions, one step each; every gate
-    matrix is looked up once."""
+    """Walker program of circuit instructions (checked when built and by
+    `Circuit.validate`), one step each; every gate matrix and its rows are
+    looked up once."""
     return [Measure(inst.regs[0], inst.regs[0]) if inst.name == "measure"
-            else Gate(gate_matrix(inst.name, inst.params), inst.regs, inst.cond)
+            else Gate(u := gate_matrix(inst.name, inst.params), u.tolist(), inst.regs,
+                      inst.cond)
             for inst in instructions]
 
 

@@ -78,17 +78,9 @@ class StateVector:
 
     # ---- unitaries ------------------------------------------------------
     def apply(self, matrix: np.ndarray, targets):
-        """Apply a k-qubit unitary to the given registers (control first).
-
-        Works in place on `amps`.  One-qubit gates and two-qubit gates of
-        the form diag(I, U) (cnot, cz, cy, crx, cry, crz) update strided
-        views of the state; any other matrix goes through tensordot.  On a
-        state of at least _WIDE (2^15) amplitudes a one-qubit gate on
-        registers 1 to 11 runs over contiguous rows instead: a diagonal one
-        is one multiply by a tile of its factors, any other on registers 1
-        to 3 a product with kron(u, I), and a real one that is not
-        anti-diagonal a product per row.  Other gates take the views.
-        """
+        """Apply a k-qubit unitary to the given registers (control first):
+        the checks of registers and shape, which write nothing when they
+        fail, then the kernels of `_apply`."""
         targets = list(targets)
         k = len(targets)
         if len(set(targets)) != k:
@@ -100,6 +92,23 @@ class StateVector:
         if u.shape != (1 << k, 1 << k):
             raise ValueError(f"a {k}-qubit gate needs a {1 << k}x{1 << k} matrix, "
                              f"got shape {u.shape}")
+        self._apply(u, u.tolist(), targets)
+
+    def _apply(self, u, rows, targets):
+        """`apply` without its checks: `u` is a complex 2^k x 2^k matrix,
+        `rows` its `u.tolist()` and `targets` k distinct registers.  The
+        walker calls this with steps checked when their program was built.
+
+        Works in place on `amps`.  One-qubit gates and two-qubit gates of
+        the form diag(I, U) (cnot, cz, cy, crx, cry, crz) update strided
+        views of the state; any other matrix goes through tensordot.  On a
+        state of at least _WIDE (2^15) amplitudes a one-qubit gate on
+        registers 1 to 11 runs over contiguous rows instead: a diagonal one
+        is one multiply by a tile of its factors, any other on registers 1
+        to 3 a product with kron(u, I), and a real one that is not
+        anti-diagonal a product per row.  Other gates take the views.
+        """
+        k = len(targets)
         if k == 1:
             q = targets[0]
             if self.amps.size >= _WIDE and q:
@@ -112,21 +121,19 @@ class StateVector:
                 if q < _TILE_REGS and u[0, 0] != 0 and not u.imag.any():
                     _apply_real(self.amps, u.real, q)
                     return
-            _apply_2x2(u.tolist(), *self._halves(q))
+            _apply_2x2(rows, *self._halves(q))
             return
-        if k == 2:
-            rows = u.tolist()
-            if rows[:2] == _CONTROL_ROWS and rows[2][:2] == rows[3][:2] == [0, 0]:
-                hi, lo = max(targets), min(targets)
-                # axis 1 is register hi, axis 3 register lo; U acts where
-                # the control reads 1
-                v = self.amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-                if targets[0] == hi:
-                    a0, a1 = v[:, 1, :, 0], v[:, 1, :, 1]
-                else:
-                    a0, a1 = v[:, 0, :, 1], v[:, 1, :, 1]
-                _apply_2x2([rows[2][2:], rows[3][2:]], a0, a1)
-                return
+        if k == 2 and rows[:2] == _CONTROL_ROWS and rows[2][:2] == rows[3][:2] == [0, 0]:
+            hi, lo = max(targets), min(targets)
+            # axis 1 is register hi, axis 3 register lo; U acts where
+            # the control reads 1
+            v = self.amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
+            if targets[0] == hi:
+                a0, a1 = v[:, 1, :, 0], v[:, 1, :, 1]
+            else:
+                a0, a1 = v[:, 0, :, 1], v[:, 1, :, 1]
+            _apply_2x2([rows[2][2:], rows[3][2:]], a0, a1)
+            return
         psi = self.amps.reshape((2,) * self.n)
         axes = [self.n - 1 - q for q in targets]
         psi = np.tensordot(u.reshape((2,) * (2 * k)), psi,
@@ -138,34 +145,49 @@ class StateVector:
     def prob_one(self, reg) -> float:
         return min(_sq_norm(self._halves(reg)[1]), 1.0)  # rounding can exceed 1
 
-    def project(self, reg, bit) -> float:
-        """Collapse the register to `bit` in place; returns the branch
-        probability.
+    def project(self, reg, bit, drop=False) -> float:
+        """Collapse the register to `bit` in place, with `drop` removing it
+        (see `collapse`); returns the branch probability.
 
         The kept half is divided by sqrt(1 - p(other outcome)), not by its
         own norm, so the norm error grows with every measurement.  The
         known-defect test in bench/test_known_defects.py pins this: fixing
         it makes that strict xfail pass, which then fails the bench suite.
         """
-        halves = self._halves(reg)
-        other = halves[1 - bit]
-        p = 1.0 - _sq_norm(other)
-        if p <= 0.0:
-            raise ValueError(f"projection onto outcome {bit} has zero probability")
-        other[...] = 0.0
-        halves[bit][...] /= np.sqrt(p)
+        p = 1.0 - _sq_norm(self._halves(reg)[1 - bit])
+        self.collapse(reg, bit, p, drop)
         return p
 
-    def sample_bit(self, reg, rng) -> int:
-        p1 = self.prob_one(reg)
-        bit = int(rng.random() < p1)
-        self.project(reg, bit)
-        return bit
+    def collapse(self, reg, bit, p, drop=False, in_place=True) -> "StateVector":
+        """The branch where register `reg` reads `bit`, of probability `p`,
+        in one pass: the kept half times 1/sqrt(p), written with `drop`
+        straight into a new buffer without the register, else beside a
+        zeroed other half.  `in_place` updates and returns this state;
+        otherwise a new state is returned and this one is left unchanged.
 
-    def remove_qubit(self, reg, bit):
-        """Drop a collapsed register (must be in the product state |bit>)."""
-        self.amps = np.ascontiguousarray(self._halves(reg)[bit]).reshape(-1)
-        self.n -= 1
+        The scale multiplies by the complex 1/sqrt(p) - 0j: numpy divides
+        complex128 by a real d as (re + im * 0, im - re * 0) * (1/d), so
+        this gives the bytes of `kept / sqrt(p)`, zero signs included,
+        through the faster loop.  A float-view multiply loses some zero
+        signs and runs over 2-float rows on register 0; a float-view
+        `/ sqrt(p)` rounds differently.
+        """
+        if p <= 0.0:
+            raise ValueError(f"projection onto outcome {bit} has zero probability")
+        halves = self._halves(reg)
+        kept, scale = halves[bit], complex(1.0 / np.sqrt(p), -0.0)
+        if in_place and not drop:
+            halves[1 - bit][...] = 0.0
+            kept *= scale
+            return self
+        if drop:
+            amps = (kept * scale).reshape(-1)
+        else:
+            amps = np.zeros(self.amps.size, dtype=complex)
+            np.multiply(kept, scale, out=amps.reshape(-1, 2, 1 << reg)[:, bit])
+        branch = self if in_place else StateVector.__new__(StateVector)
+        branch.amps, branch.n = amps, self.n - drop
+        return branch
 
     # ---- comparisons ----------------------------------------------------
     def fidelity(self, other: "StateVector") -> float:

@@ -15,8 +15,6 @@ every register position is resolved when the program is built.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..backend.gates import gate_matrix
 from ..backend.simulator import (Alloc, Gate, Measure, check_shots, exact_split,
                                  shot_split, stratified_split, walk)
@@ -34,6 +32,8 @@ def _check_order(graph: ResourceGraph, order, specs=None):
     if specs is not None:
         earlier = set()
         for v in order:
+            if v not in specs:
+                raise ValueError(f"measurement of {v!r} has no spec")
             for ref in specs[v].references():
                 if ref not in earlier:
                     raise ValueError(
@@ -43,14 +43,8 @@ def _check_order(graph: ResourceGraph, order, specs=None):
 
 def _rotation(spec):
     """Basis callback of a measurement: the rotation taking the spec's
-    basis, adapted to earlier outcomes, to Z.  The rotation of each (s, t)
-    parity the domains can give is computed here, once per program."""
-    table = {}
-    for s in range(1 + bool(spec.s_domain)):
-        for t in range(1 + bool(spec.t_domain)):
-            v0, v1 = spec.basis_for(s, t)
-            table[s, t] = np.array([v0.conj(), v1.conj()])  # maps v0 -> |0>, v1 -> |1>
-    return lambda outcomes: table[spec.parities(outcomes)]
+    basis, adapted to earlier outcomes, to Z, kept by the spec."""
+    return spec.rotation
 
 
 def _program(graph: ResourceGraph, order, specs=None, dense=False):
@@ -62,13 +56,14 @@ def _program(graph: ResourceGraph, order, specs=None, dense=False):
     active = list(graph.input_vertices)
     realized = set()
     program = []
+    cz_rows = _CZ.tolist()
 
     def activate(v):
         active.append(v)
         program.append(Alloc(PLUS))
 
     def realize(a, b):
-        program.append(Gate(_CZ, (active.index(a), active.index(b))))
+        program.append(Gate(_CZ, cz_rows, (active.index(a), active.index(b))))
         realized.add(frozenset((a, b)))
 
     if dense:

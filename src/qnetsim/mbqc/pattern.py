@@ -77,13 +77,14 @@ def plane_basis(plane: str, angle: float):
     return v0, v1
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasurementSpec:
     """Measurement for one vertex.
 
     Either (plane, angle) with optional adaptivity domains, or an
     explicit orthonormal basis pair.  Outcome 0 corresponds to the +1
-    eigenvector, outcome 1 to the -1 eigenvector.
+    eigenvector, outcome 1 to the -1 eigenvector.  Frozen, so the
+    rotations it keeps (see `rotation`) stay valid.
     """
     vertex: object
     plane: str = "XY"
@@ -99,7 +100,8 @@ class MeasurementSpec:
                     or abs(np.linalg.norm(v1) - 1) > BASIS_TOL
                     or abs(np.vdot(v0, v1)) > BASIS_TOL):
                 raise ValueError("explicit basis must be orthonormal")
-            self.explicit_basis = (v0, v1)
+            object.__setattr__(self, "explicit_basis", (v0, v1))
+        object.__setattr__(self, "_rotations", {})
 
     def basis(self, outcomes: dict):
         return self.basis_for(*self.parities(outcomes))
@@ -114,6 +116,15 @@ class MeasurementSpec:
         if self.explicit_basis is not None:
             return self.explicit_basis
         return plane_basis(self.plane, (-1) ** s * self.angle + t * np.pi)
+
+    def rotation(self, outcomes: dict):
+        """The rotation taking the adapted basis to Z (v0 -> |0>, v1 -> |1>),
+        built on the first measurement with each (s, t) parity."""
+        st = self.parities(outcomes)
+        if st not in self._rotations:
+            v0, v1 = self.basis_for(*st)
+            self._rotations[st] = np.array([v0.conj(), v1.conj()])
+        return self._rotations[st]
 
     def references(self):
         return tuple(self.s_domain) + tuple(self.t_domain)

@@ -42,8 +42,8 @@ class QubitManager:
     def measure(self, qubit) -> int:
         pos = self.qubits.index(qubit)
         del self.qubits[pos]
-        bit = self.state.sample_bit(pos, self.rng)
-        self.state.remove_qubit(pos, bit)
+        bit = int(self.rng.random() < self.state.prob_one(pos))
+        self.state.project(pos, bit, drop=True)
         return bit
 
     def qubit_state(self, qubits) -> StateVector:

@@ -80,9 +80,8 @@ def test_project_and_remove_qubit():
     state = StateVector(2)
     state.apply(gate_matrix("h"), (0,))
     state.apply(gate_matrix("cnot"), (0, 1))
-    p = state.project(0, 1)
+    p = state.project(0, 1, drop=True)
     assert p == pytest.approx(0.5)
-    state.remove_qubit(0, 1)
     assert state.n == 1
     assert np.allclose(state.amps, [0, 1])  # partner collapsed to |1>
 
@@ -260,8 +259,7 @@ def test_copy_is_unaffected_by_mutations_of_the_original():
     a.apply(gate_matrix("h"), (2,))
     a.apply(gate_matrix("cnot"), (0, 3))
     a.apply(gate_matrix("rz", (0.4,)), (1,))
-    a.project(2, 1)
-    a.remove_qubit(2, 1)
+    a.project(2, 1, drop=True)
     assert b.n == 4
     assert np.array_equal(b.amps, before)
     assert not np.shares_memory(a.amps, b.amps)
@@ -276,6 +274,76 @@ def test_project_keeps_the_one_minus_other_normalisation():
     assert p == pytest.approx(1.0 - p_other, abs=1e-15)
     assert np.allclose(state.amps.reshape(-1, 2, 2)[:, 1], kept / np.sqrt(p), atol=1e-15)
     assert not state.amps.reshape(-1, 2, 2)[:, 0].any()
+
+
+def reference_branch(state, reg, bit, drop):
+    """The measurement branch the walker built before `collapse`: copy the
+    state, project it (zero the other half, divide the kept half by
+    sqrt(1 - p(other))) and, with `drop`, copy the kept half out."""
+    amps = state.amps.copy()
+    halves = amps.reshape(-1, 2, 1 << reg)
+    other = halves[:, 1 - bit].view(np.float64)
+    p = 1.0 - float(np.einsum("ij,ij->", other, other))
+    halves[:, 1 - bit] = 0.0
+    halves[:, bit] /= np.sqrt(p)
+    if drop:
+        amps = np.ascontiguousarray(halves[:, bit]).reshape(-1)
+    return p, amps
+
+
+def signed_zero_state(rng, n):
+    """A random state with about half of its floats set to +0.0 or -0.0,
+    so every sign rule of the scaling is exercised."""
+    f = random_state(rng, n).amps.view(np.float64).copy()
+    u = rng.random(f.size)
+    f[u < 0.25], f[(u >= 0.25) & (u < 0.5)] = 0.0, -0.0
+    return StateVector(amplitudes=f.view(complex))
+
+
+def check_collapse_matches_reference(state, reg, bit, drop, in_place):
+    p, expected = reference_branch(state, reg, bit, drop)
+    n, before = state.n, state.amps.copy()
+    branch = state.collapse(reg, bit, p, drop, in_place)
+    assert branch.amps.tobytes() == expected.tobytes()
+    assert branch.n == n - drop
+    assert (branch is state) == in_place
+    if not in_place:
+        assert state.n == n and state.amps.tobytes() == before.tobytes()
+        assert not np.shares_memory(branch.amps, state.amps)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1), st.data())
+def test_collapse_bytes_match_copy_project_remove(n, seed, data):
+    rng = np.random.default_rng(seed)
+    make = data.draw(st.sampled_from([random_state, signed_zero_state]))
+    state = make(rng, n)
+    reg = data.draw(st.integers(0, n - 1))
+    bit, drop, in_place = (data.draw(st.booleans()) for _ in range(3))
+    check_collapse_matches_reference(state, reg, int(bit), drop, in_place)
+
+
+def test_collapse_bytes_match_copy_project_remove_on_a_wide_state():
+    n = WIDE_QUBITS + 1
+    for make, seed in ((random_state, 3), (signed_zero_state, 4)):
+        state = make(np.random.default_rng(seed), n)
+        for reg in range(n):
+            for bit in (0, 1):
+                for drop in (False, True):
+                    for in_place in (False, True):
+                        check_collapse_matches_reference(state.copy(), reg, bit, drop,
+                                                         in_place)
+
+
+@pytest.mark.parametrize("p", [0.0, -1e-17, -0.5])
+def test_collapse_of_zero_probability_raises_and_keeps_the_state(p):
+    state = random_state(np.random.default_rng(5), 3)
+    before = state.amps.copy()
+    for drop in (False, True):
+        for in_place in (False, True):
+            with pytest.raises(ValueError, match="zero probability"):
+                state.collapse(1, 0, p, drop, in_place)
+            assert state.amps.tobytes() == before.tobytes() and state.n == 3
 
 
 # ---- circuits ------------------------------------------------------------

@@ -1,5 +1,6 @@
 """MBQC engine: bases, adaptivity, lazy activation, oracle equivalence."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -10,6 +11,7 @@ from qnetsim.backend.statevector import StateVector
 from qnetsim.mbqc import (MeasurementSpec, ResourceGraph, dense_oracle,
                           dump_pattern, load_pattern, max_active_width,
                           run_pattern)
+from qnetsim.mbqc import pattern
 from qnetsim.mbqc.engine import _rotation, sample_pattern
 from qnetsim.mbqc.pattern import plane_basis, x_measurement, z_measurement
 
@@ -78,6 +80,31 @@ def test_cached_rotation_of_an_explicit_basis():
     v0, v1 = np.array([0.6, 0.8j]), np.array([0.8, -0.6j])
     rotation = _rotation(MeasurementSpec(0, explicit_basis=(v0, v1)))
     assert np.array_equal(rotation({}), np.array([v0.conj(), v1.conj()]))
+
+
+def test_measurement_specs_are_frozen():
+    spec = MeasurementSpec(0, "XY", 0.3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.angle = 0.4
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        spec.s_domain = (1,)
+
+
+def test_rotations_are_built_once_per_spec(monkeypatch):
+    graph = chain(4)
+    specs = {v: MeasurementSpec(v, "XY", 0.2 + v) for v in range(4)}
+    calls = []
+
+    def counting_plane_basis(plane, angle):
+        calls.append((plane, angle))
+        return plane_basis(plane, angle)
+
+    monkeypatch.setattr(pattern, "plane_basis", counting_plane_basis)
+    first = run_pattern(graph, [0, 1, 2, 3], specs, np.random.default_rng(1))
+    assert len(calls) == 4  # one rotation per spec, at its first measurement
+    calls.clear()
+    second = run_pattern(graph, [0, 1, 2, 3], specs, np.random.default_rng(1))
+    assert calls == [] and second == first
 
 
 @pytest.mark.parametrize("shots", [-5, 2.5, "10", False])
@@ -231,6 +258,14 @@ def test_order_must_be_permutation():
         run_pattern(graph, ["0", "1", "2"], specs, np.random.default_rng(0))
     with pytest.raises(ValueError):
         max_active_width(graph, ["0", "1", "2"])
+    # a vertex without a spec is named, for every entry point that takes specs
+    partial = {v: x_measurement(v) for v in range(2)}
+    for call in (lambda: run_pattern(graph, [0, 1, 2], partial, np.random.default_rng(0)),
+                 lambda: sample_pattern(graph, [0, 1, 2], partial, 10,
+                                        np.random.default_rng(0)),
+                 lambda: dense_oracle(graph, partial, [0, 1, 2])):
+        with pytest.raises(ValueError, match="measurement of 2 has no spec"):
+            call()
 
 
 def test_adaptive_reference_must_be_measured_earlier():
