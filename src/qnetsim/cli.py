@@ -11,6 +11,7 @@ import concurrent.futures
 import copy
 import csv
 import json
+import logging
 import re
 import sys
 from pathlib import Path
@@ -66,13 +67,14 @@ def _apply_overrides(config, args):
 def cmd_run(args) -> int:
     try:
         config = _apply_overrides(_load_config(args.config), args)
-        seed = resolve(config)[1]["seed"]
+        settings = resolve(config)[1]
         out_dir = Path(args.out_dir)
     except (OSError, TypeError, ValueError) as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    logging.basicConfig(level=settings["log_level"])  # records go to stderr
     try:
-        metrics = run_scenario(config, seed, out_dir)
+        metrics = run_scenario(config, settings["seed"], out_dir)
     except ScenarioError as exc:  # a check across keys, made by the runner
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -139,14 +141,15 @@ def cmd_sweep(args) -> int:
             cfg = copy.deepcopy(config)
             raw = int(value) if value.is_integer() else value
             _set_by_path(cfg, args.parameter, raw)
-            base_seed = resolve(cfg)[1]["seed"]  # a rejected value starts no run
-            jobs.extend((value, cfg, base_seed + 1000 * rep,
+            settings = resolve(cfg)[1]  # a rejected value starts no run
+            jobs.extend((value, cfg, settings["seed"] + 1000 * rep,
                          out_dir / f"value_{raw}_rep_{rep}")
                         for rep in range(args.replications))
     except (OSError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    logging.basicConfig(level=settings["log_level"])  # records go to stderr
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as ex:
             results = list(ex.map(
@@ -186,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="duration, e.g. 0.5s / 500ms / 5e11ps")
     common.add_argument("--out-dir", default="out")
     common.add_argument("--log-level", default=None,
-                        choices=["DEBUG", "INFO", "WARN"])  # SimEnv's levels
+                        choices=["DEBUG", "INFO", "WARN"])
 
     sub.add_parser("run", parents=[common], help="run one scenario")
 

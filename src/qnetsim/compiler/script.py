@@ -57,21 +57,38 @@ def dump_script(instructions) -> str:
     return json.dumps(objs, indent=2)
 
 
+def _has_bool(value):
+    """Whether a JSON value holds a true or false: no field takes one, and
+    an int() pattern would match it."""
+    return isinstance(value, bool) or isinstance(value, (dict, list)) and any(
+        map(_has_bool, value.values() if isinstance(value, dict) else value))
+
+
+def _instruction(index, obj):
+    """The instruction of one JSON object as `dump_script` writes it;
+    ValueError when its kind is unknown or a field is missing or ill-shaped."""
+    # a local op's "params" and "cond" may be absent
+    match ({"params": None, "cond": None, **obj}
+           if isinstance(obj, dict) and not _has_bool(obj) else None):
+        case {"kind": "local", "node": str(node), "name": str(name),
+              "addr": int() | [int(), int()] as addr, "params": None | list() as params,
+              "cond": None | [str(), int()] as cond} if all(
+                  isinstance(p, (int, float)) for p in params or ()):
+            return LocalOp(node, name, tuple(addr) if isinstance(addr, list) else addr,
+                           tuple(params) if params else None, tuple(cond) if cond else None)
+        case {"kind": "transmit", "src": str(src), "dst": str(dst), "addr": int(addr)}:
+            return Transmit(src, dst, addr)
+        case {"kind": "classical", "src": str(src), "dst": str(dst),
+              "ref": [str(), int()] as ref}:
+            return ClassicalSend(src, dst, tuple(ref))
+    raise ValueError(f"instruction {index}: unknown kind, or a missing or ill-shaped "
+                     f"field, in {obj!r}")
+
+
 def load_script(text: str) -> list:
-    instructions = []
-    for obj in json.loads(text):
-        kind = obj["kind"]
-        if kind == "local":
-            addr = obj["addr"]
-            instructions.append(LocalOp(
-                node=obj["node"], name=obj["name"],
-                addr=tuple(addr) if isinstance(addr, list) else addr,
-                params=tuple(obj["params"]) if obj.get("params") else None,
-                cond=tuple(obj["cond"]) if obj.get("cond") else None))
-        elif kind == "transmit":
-            instructions.append(Transmit(obj["src"], obj["dst"], obj["addr"]))
-        elif kind == "classical":
-            instructions.append(ClassicalSend(obj["src"], obj["dst"], tuple(obj["ref"])))
-        else:
-            raise ValueError(f"unknown instruction kind {kind!r}")
-    return instructions
+    """The instructions of a JSON script as `dump_script` writes it; any
+    other shape raises ValueError naming the instruction's index."""
+    objs = json.loads(text)
+    if not isinstance(objs, list):
+        raise ValueError(f"a protocol script must be a JSON list, got {type(objs).__name__}")
+    return [_instruction(index, obj) for index, obj in enumerate(objs)]

@@ -31,8 +31,5 @@ class Entity:
             self._rng = self.env.rng_for(self.name)
         return self._rng
 
-    def log(self, level, message):
-        self.env.log(level, self, message)
-
     def __repr__(self):
         return f"{type(self).__name__}({self.name!r})"

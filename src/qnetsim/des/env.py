@@ -19,9 +19,6 @@ import numpy as np
 
 from .event import Event
 
-INFINITE = None  # sentinel: run until the future event list drains
-
-_LOG_LEVELS = {"DEBUG": 0, "INFO": 1, "WARN": 2}
 
 class EnvState(Enum):
     CREATED = "created"
@@ -52,9 +49,6 @@ class SimEnv:
         self.entities = []
         self.trace = []  # (time, priority, seq, handler_name) per executed event
         self._seq = itertools.count()
-        self._log_path = None
-        self._log_level = "INFO"
-        self._log_lines = []
 
     # ---- random streams -------------------------------------------------
     def rng_for(self, stream_name: str) -> np.random.Generator:
@@ -66,19 +60,6 @@ class SimEnv:
         digest = hashlib.sha256(stream_name.encode()).digest()
         salt = int.from_bytes(digest[:8], "big")
         return np.random.default_rng(np.random.SeedSequence([self.seed, salt]))
-
-    # ---- logging --------------------------------------------------------
-    def set_log(self, path=None, level="INFO"):
-        if level not in _LOG_LEVELS:
-            raise ValueError(f"unknown log level {level!r}")
-        self._log_path = path
-        self._log_level = level
-
-    def log(self, level, entity, message):
-        if _LOG_LEVELS[level] < _LOG_LEVELS[self._log_level]:
-            return
-        name = getattr(entity, "name", str(entity))
-        self._log_lines.append(f"{self.now}\t{level}\t{name}\t{message}")
 
     # ---- scheduling -----------------------------------------------------
     def schedule(self, event: Event) -> Event:
@@ -116,13 +97,18 @@ class SimEnv:
         for entity in list(self.entities):
             entity._init()
 
-    def run(self, end_time=INFINITE, logging=False) -> SimReport:
+    def run(self, end_time=None) -> SimReport:
+        """Execute the events due at or before `end_time` and finish.
+
+        A bounded run ends at `end_time`: `now` becomes it, and later
+        events stay queued.  A run without one ends at its last event."""
         if self.state is not EnvState.INITIALIZED:
             raise RuntimeError(f"run is only legal from initialized state, not {self.state}")
+        if end_time is not None and end_time < self.now:
+            raise ValueError(f"end time {end_time} precedes now {self.now}")
         self.state = EnvState.RUNNING
         heap, trace = self.fel, self.trace
-        limit = float("inf") if end_time is INFINITE else end_time
-        executed = 0
+        limit = float("inf") if end_time is None else end_time
         while heap:
             item = heappop(heap)
             time, priority, seq, event = item
@@ -136,10 +122,8 @@ class SimEnv:
             # set before the call: the handler may schedule this event again
             event.executed = True
             getattr(event.owner, event.action)(*event.args)
-            executed += 1
+        if end_time is not None:
+            self.now = end_time
         self.state = EnvState.FINISHED
-        if logging and self._log_path is not None:
-            with open(self._log_path, "w") as f:
-                for line in self._log_lines:
-                    f.write(line + "\n")
-        return SimReport(events_executed=executed, final_time=self.now)
+        # a run is the environment's only one, so its trace holds just this run
+        return SimReport(events_executed=len(trace), final_time=self.now)

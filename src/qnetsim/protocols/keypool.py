@@ -8,11 +8,12 @@ threshold V_r is reached.  Defaults follow V_i = V_m / 4 and V_r = V_m.
 A pool counts its keys and stores none.  Its keygen clock (`clock`)
 gives it one key per instant while it has room; before any read or take
 the pool adds, in bulk, the keys of the instants that passed since it
-was last settled.  Keys get their values when they are delivered: the
-k-th key delivered is the k-th draw of the pool's random stream, as if
-each key had been drawn when it was added, and keys that are never
-delivered are never drawn.  A key is an int of `key_length` bits, the
-first drawn bit the most significant.
+was last settled: while the run goes on those before now, and once it
+has finished those through its end time.  Keys get their values when
+they are delivered: the k-th key delivered is the k-th draw of the
+pool's random stream, as if each key had been drawn when it was added,
+and keys that are never delivered are never drawn.  A key is an int of
+`key_length` bits, the first drawn bit the most significant.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ from functools import partial
 
 import numpy as np
 
+from ..des import EnvState
+
 _BLOCK = 64  # keys drawn from the pool's random stream per call
+_FINISHED = EnvState.FINISHED
 
 
 def _whole(name, value, low):
@@ -59,16 +63,17 @@ class KeyPool:
 
     # --- settled state ----------------------------------------------------
     def _settle(self):
+        """Count the keys of the keygen instants after the last one counted
+        that fit: those before now while the run goes on (the clock's walk
+        counts now's own), and those through now once it has finished."""
         clock = self.clock
         if clock is not None:
-            self.settle((clock.env.now - clock.start_ps - 1) // clock.interval_ps)
-
-    def settle(self, instant):
-        """Count the keys of the keygen instants after the last one
-        counted, through `instant`, that fit."""
-        if instant > self._settled:
-            self._add(instant - self._settled)
-            self._settled = instant
+            env = clock.env
+            passed = env.now - clock.start_ps - (env.state is not _FINISHED)
+            instant = passed // clock.interval_ps
+            if instant > self._settled:
+                self._add(instant - self._settled)
+                self._settled = instant
 
     def _add(self, count):
         added = min(count, self.v_max - self._volume)

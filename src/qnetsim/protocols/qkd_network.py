@@ -92,8 +92,9 @@ class KeyClock:
 
     An instant that serves nothing only adds keys, so it runs no event:
     each pool counts the keys of the instants that passed when it is next
-    read (`KeyPool.settle`).  The clock's one event is armed at a lower
-    bound of the first instant at which a resource manager could serve its
+    read, and once the run has finished those through its end time
+    (`KeyPool._settle`).  The clock's one event is armed at a lower bound
+    of the first instant at which a resource manager could serve its
     queue head or a waiting endnode request (`QKDRMP.first_instant`), read
     from the pools' reservations, status, volume and V_r as if nothing were
     taken first.  There the clock walks its `(node, peer, pool)` generators
@@ -156,12 +157,6 @@ class KeyClock:
                 return
             self.event.cancel()
         self.event = env.schedule(Event(time, self, "keygen"))
-
-    def settle(self, time_ps):
-        """Count every pool's keys of the instants up to `time_ps`."""
-        instant = (time_ps - self.start_ps) // self.interval_ps
-        for *_, pool in self.generators:
-            pool.settle(instant)
 
 
 class QKDRMP:

@@ -170,7 +170,9 @@ class _TeleportDriver(Entity):
     def check_timeout(self):
         if not self.result.completed:
             self.result.stalled = True
-            self.log("WARN", "teleportation stalled: timeout reached")
+            import logging  # on first use: importing the package does not load logging
+            logging.getLogger(__name__).warning(
+                "%s: teleportation stalled at %d ps: timeout reached", self.name, self.env.now)
 
 
 def teleport(charlie, alice, bob, input_prep, timeout_ps=None,

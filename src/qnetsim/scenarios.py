@@ -1,4 +1,4 @@
-"""Runnable scenarios: build an environment, run it, emit CSV results.
+"""Runnable scenarios: one environment per run, CSV results, a trace.
 
 Every scenario draws all randomness from streams derived from the
 environment seed, so a fixed (config, seed) pair reproduces byte-equal
@@ -88,27 +88,10 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def _write_trace(env, path):
-    with open(path, "w") as f:
-        f.writelines(f"{time}\t{priority}\t{seq}\t{handler}\n"
-                     for time, priority, seq, handler in env.trace)
-
-
-def write_manifest(out_dir, config, seed):
-    blob = json.dumps(config, sort_keys=True).encode()
-    manifest = {
-        "config_sha256": hashlib.sha256(blob).hexdigest(),
-        "seed": seed,
-        "qnetsim_version": __version__,
-    }
-    (Path(out_dir) / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-
 # ---- CHSH ----------------------------------------------------------------
 
-def run_chsh(settings, seed, out_dir):
+def run_chsh(settings, env, out_dir):
     strategy = settings["strategy"]
-    env = SimEnv("chsh", seed=seed)
     if strategy == "classical-optimal" and settings["exhaustive"]:
         win_rate = classical_win_rate_exhaustive()
         rows = [[strategy, 4, int(win_rate * 4), win_rate]]
@@ -116,16 +99,14 @@ def run_chsh(settings, seed, out_dir):
         result = chsh_play(strategy, settings["rounds"], rng=env.rng_for("chsh"))
         win_rate = result.win_rate
         rows = [[strategy, result.rounds, result.wins, f"{win_rate:.6f}"]]
-    _write_csv(Path(out_dir) / "results.csv",
+    _write_csv(out_dir / "results.csv",
                ["strategy", "rounds", "wins", "win_rate"], rows)
-    _write_trace(env, Path(out_dir) / "trace.log")
     return {"primary": win_rate, "win_rate": win_rate}
 
 
 # ---- BB84 over fiber -----------------------------------------------------
 
-def run_bb84(settings, seed, out_dir):
-    env = SimEnv("bb84", seed=seed)
+def run_bb84(settings, env, out_dir):
     distance_km = settings["distance_km"]
     network = Network("bb84net", env=env)
     alice = Node("alice", env=env)
@@ -143,15 +124,12 @@ def run_bb84(settings, seed, out_dir):
                                                distance_km, env=env))
     link.install_channel(QuantumFiberChannel("q:a->b", alice, bob,
                                              distance_km, env=env))
-    env.init()
     result = bb84_generate(alice, bob, settings["pulses"], rng=env.rng_for("bb84"))
-    env.run()
-    _write_csv(Path(out_dir) / "results.csv",
+    _write_csv(out_dir / "results.csv",
                ["pulses", "detections", "detection_rate", "sifted", "qber"],
                [[result.pulses, result.detections,
                  f"{result.detection_rate:.6f}", result.sifted_length,
                  f"{result.qber:.6f}"]])
-    _write_trace(env, Path(out_dir) / "trace.log")
     return {"primary": result.detection_rate,
             "detection_rate": result.detection_rate,
             "sifted": result.sifted_length, "qber": result.qber}
@@ -159,10 +137,9 @@ def run_bb84(settings, seed, out_dir):
 
 # ---- key-pool architecture -----------------------------------------------
 
-def run_keypool(settings, seed, out_dir):
+def run_keypool(settings, env, out_dir):
     end_time = settings["end_time_ps"]
     extra = _extra_endnodes(settings["extra_endnodes"], settings["n_repeaters"])
-    env = SimEnv("keypool", seed=seed)
     network, endnodes = build_chain_network(env, n_repeaters=settings["n_repeaters"],
                                             extra_endnodes=extra,
                                             distance_km=settings["distance_km"])
@@ -183,19 +160,17 @@ def run_keypool(settings, seed, out_dir):
         kdn.schedule_request(t, request)
 
     env.run(end_time=end_time)
-    kdn.clock.settle(end_time)  # the keys of the instants up to end_time
 
     processed = sum(1 for r in requests if r.state == "done")
-    _write_csv(Path(out_dir) / "results.csv",
+    _write_csv(out_dir / "results.csv",
                ["id", "src", "dst", "issued_ps", "completed_ps", "status"],
                [[r.id, r.src, r.dst, r.issued_ps,
                  r.completed_ps if r.completed_ps is not None else "",
                  r.state] for r in requests])
-    _write_csv(Path(out_dir) / "pools.csv",
+    _write_csv(out_dir / "pools.csv",
                ["node", "peer", "generated", "delivered", "final_Vc"],
                [[*sorted(key), pool.generated, pool.delivered, pool.v_current]
                 for key, pool in sorted(kdn.pools.items(), key=lambda kv: sorted(kv[0]))])
-    _write_trace(env, Path(out_dir) / "trace.log")
     agree = all(r.src_keys == r.dst_keys for r in requests if r.state == "done")
     return {"primary": processed, "processed_requests": processed,
             "keys_agree": agree, "requests": requests}
@@ -224,9 +199,8 @@ def _extra_endnodes(entries, n_repeaters):
 
 # ---- satellite pass ------------------------------------------------------
 
-def run_satellite(settings, seed, out_dir):
+def run_satellite(settings, env, out_dir):
     window = t0, t1 = settings["window_ps"]
-    env = SimEnv("satellite", seed=seed)
     mobility = Mobility(triangular_trajectory(t0, t1, settings["min_km"],
                                               settings["max_km"]),
                         window, settings["loss_table"])
@@ -246,9 +220,8 @@ def run_satellite(settings, seed, out_dir):
         distances.append(distance)
         sifted_counts.append(sifted)
 
-    _write_csv(Path(out_dir) / "results.csv",
+    _write_csv(out_dir / "results.csv",
                ["time_ps", "distance_km", "loss_db", "clicks", "sifted"], rows)
-    _write_trace(env, Path(out_dir) / "trace.log")
     # a constant series (e.g. bins = 2, efficiency = 0) has no correlation
     corr = (float(np.corrcoef(distances, sifted_counts)[0, 1])
             if len(set(distances)) > 1 and len(set(sifted_counts)) > 1 else None)
@@ -261,7 +234,7 @@ def run_satellite(settings, seed, out_dir):
 # config keys of every scenario besides "scenario": the CLI's overrides
 _COMMON_KEYS = {
     "seed": (0, _number(0, whole=True)),
-    "log_level": ("INFO", _choice("DEBUG", "INFO", "WARN")),  # SimEnv's levels
+    "log_level": ("INFO", _choice("DEBUG", "INFO", "WARN")),  # names logging knows
 }
 # scenario -> (runner, {config key: (default, convert)})
 _SCENARIOS = {
@@ -322,7 +295,17 @@ def resolve(config):
 
 
 def run_scenario(config, seed, out_dir):
+    """Run a config's scenario on a fresh environment and write its files:
+    the runner's results, then `trace.log` and `manifest.json`."""
     run, settings = resolve(config)
-    metrics = run(settings, seed, Path(out_dir))
-    write_manifest(out_dir, config, seed)
+    env = SimEnv(config["scenario"], seed=seed)
+    out_dir = Path(out_dir)
+    metrics = run(settings, env, out_dir)
+    with open(out_dir / "trace.log", "w") as f:
+        f.writelines(f"{time}\t{priority}\t{seq}\t{handler}\n"
+                     for time, priority, seq, handler in env.trace)
+    blob = json.dumps(config, sort_keys=True).encode()
+    manifest = {"config_sha256": hashlib.sha256(blob).hexdigest(), "seed": seed,
+                "qnetsim_version": __version__}
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     return metrics

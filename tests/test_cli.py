@@ -5,6 +5,7 @@ import csv
 import inspect
 import io
 import json
+import logging
 import math
 import re
 import tempfile
@@ -133,6 +134,20 @@ def test_run_whole_float_seed_runs_as_that_integer(tmp_path):
     assert (tmp_path / "int" / "results.csv").read_bytes() == \
         (tmp_path / "float" / "results.csv").read_bytes()
     assert json.loads((tmp_path / "float" / "manifest.json").read_text())["seed"] == 7
+
+
+@pytest.mark.parametrize("argv", [["run"],
+                                  ["sweep", "--parameter", "rounds", "--values", "100"]])
+def test_log_level_reaches_logging_and_stdout_stays_json(tmp_path, capsys, monkeypatch,
+                                                         argv):
+    calls = []
+    monkeypatch.setattr(logging, "basicConfig", lambda **kwargs: calls.append(kwargs))
+    cfg = _write_config(tmp_path, {"scenario": "chsh", "rounds": 100, "log_level": "WARN"})
+    assert main([*argv, "--config", cfg, "--log-level", "DEBUG",
+                 "--out-dir", str(tmp_path / "o")]) == 0
+    assert calls == [{"level": "DEBUG"}]  # the flag overrides the config key
+    if argv == ["run"]:
+        assert set(json.loads(capsys.readouterr().out)) == {"primary", "win_rate"}
 
 
 def test_run_unknown_log_level_exits_2(tmp_path, capsys):
@@ -387,6 +402,24 @@ def test_compile_empty_script(tmp_path):
     out = tmp_path / "out.json"
     assert main(["compile", "--script", str(empty), "--out", str(out)]) == 0
     assert json.loads(out.read_text()) == []
+
+
+@pytest.mark.parametrize("script,message", [
+    ([{"node": "a", "name": "h", "addr": 0}], "instruction 0: unknown kind"),
+    ([{"kind": "local", "name": "h", "addr": 0}], "instruction 0: "),
+    ([{"kind": "local", "node": "a", "name": "h", "addr": 0},
+      {"kind": "classical", "src": "a", "dst": "b", "ref": 3}], "instruction 1: "),
+    ({}, "must be a JSON list, got dict"),
+    ([{"kind": "transmit", "src": "a", "dst": "b", "addr": True}], "instruction 0: "),
+])
+def test_compile_malformed_script_exits_2_naming_index(tmp_path, capsys, script, message):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(script))
+    out = tmp_path / "o.json"
+    assert main(["compile", "--script", str(bad), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
 
 
 def test_compile_missing_script_exits_2(tmp_path):

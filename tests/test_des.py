@@ -126,8 +126,28 @@ def test_run_stops_at_end_time_without_consuming_later_events():
     env.schedule_at(99, rec, "note", "beyond")
     report = env.run(end_time=50)
     assert rec.seen == [(10, "a")]
-    assert report.final_time == 10
+    assert report.final_time == env.now == 50
+    assert [event.time for *_, event in env.fel] == [99]
     assert env.state is EnvState.FINISHED
+
+
+def test_unbounded_run_ends_at_its_last_event():
+    env = SimEnv("t")
+    rec = Recorder("r", env)
+    env.init()
+    env.schedule_at(10, rec, "note", "a")
+    env.schedule_at(99, rec, "note", "last")
+    report = env.run()
+    assert report.final_time == env.now == 99
+    assert report.events_executed == 2 and env.fel == []
+
+
+def test_run_cannot_end_before_now():
+    env = SimEnv("t")
+    env.init()
+    with pytest.raises(ValueError, match="precedes now"):
+        env.run(end_time=-1)
+    assert env.state is EnvState.INITIALIZED and env.now == 0
 
 
 def test_default_env_required_when_unset():
@@ -197,18 +217,6 @@ def test_identical_seeds_identical_traces():
 def test_trace_records_handler_names():
     trace = _run_trace(7)
     assert all(name in ("p.ping", "q.ping") for *_ignored, name in trace)
-
-
-def test_log_lines_format_and_level_filter():
-    env = SimEnv("t", seed=0)
-    env.set_log(level="INFO")
-    rec = Recorder("r", env)
-    env.init()
-    env.schedule_at(42, rec, "note", "x")
-    env.run()
-    env.log("DEBUG", rec, "hidden")
-    env.log("WARN", rec, "shown")
-    assert env._log_lines == ["42\tWARN\tr\tshown"]
 
 
 # ---- events are their own handles -------------------------------------------

@@ -27,7 +27,7 @@ import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from qnetsim import scenarios
-from qnetsim.des import Event
+from qnetsim.des import EnvState, Event
 from qnetsim.netmodel.channel import ClassicalFiberChannel, classical_delay_ps
 from qnetsim.protocols import KeyPool
 from qnetsim.protocols.qkd_network import (QKDRMP, KeyClock, KeyDistributionNetwork,
@@ -95,8 +95,8 @@ def test_lazy_pool_matches_a_pool_that_adds_a_key_per_instant(run, seed):
     pool = KeyPool(v_max, key_length, v_interrupt, v_recover,
                    rng=np.random.default_rng(seed)).fill()
     # instant k falls on 3k ps; the pool counts the instants before now
-    pool.clock = clock = SimpleNamespace(env=SimpleNamespace(now=1), start_ps=0,
-                                         interval_ps=3)
+    pool.clock = clock = SimpleNamespace(env=SimpleNamespace(now=1, state=EnvState.RUNNING),
+                                         start_ps=0, interval_ps=3)
     eager = _EagerPool(v_max, v_interrupt, v_recover, key_length, seed)
     for _ in range(v_max):
         eager.add()
@@ -247,8 +247,8 @@ def test_relay_only_messages_are_handled_only_at_their_end(config, key_num, seed
 # ---- the rules the event diet replaced ------------------------------------
 
 def _clock_per_pool(kdn):
-    # kdn.clock ends as the last pool's clock, which run_keypool settles; the
-    # walks at every instant keep every pool settled anyway
+    # kdn.clock ends as the last pool's clock; each pool counts its instants
+    # through its own clock, which walks every instant
     env = kdn.network.env
     for key in sorted(kdn.pools, key=sorted):  # generator order
         pool = kdn.pools[key]

@@ -1,5 +1,7 @@
 """Protocols: key pools, BB84, CHSH, teleportation, key distribution."""
 
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -312,14 +314,19 @@ def test_teleport_delivers_prepared_state(seed):
         pytest.approx(1.0, abs=1e-10)
 
 
-def test_teleport_stalls_on_lost_qubit():
+def test_teleport_stalls_on_lost_qubit(caplog):
     env = SimEnv("t", seed=1)
     nodes = _teleport_net(env, lossy=True)  # 300 dB: photons never arrive
     result = teleport(nodes["charlie"], nodes["alice"], nodes["bob"],
                       lambda m, q: None, timeout_ps=10**9)
     env.init()
-    env.run()
+    with caplog.at_level(logging.DEBUG):
+        env.run()
     assert result.stalled and not result.completed
+    # one warning, stamped with the simulated time of the timeout
+    assert [(r.name, r.levelno, r.getMessage()) for r in caplog.records] == [
+        ("qnetsim.protocols.teleport", logging.WARNING,
+         "teleport:alice->bob: teleportation stalled at 1000000000 ps: timeout reached")]
 
 
 # ---- end-to-end key distribution -----------------------------------------
@@ -519,8 +526,9 @@ def test_keygen_clock_is_the_one_pending_keygen_event():
     assert [line[0] for line in env.trace if line[3] == "kdnet.keygen"] == [7 * ms, 8 * ms]
     assert request.state == "done" and request.src_keys == request.dst_keys
     assert clock.event is None and env.fel == []
-    assert pool.generated == 10 + 6 and pool.delivered == 7 + 1 + 8  # instants 3-8
-    assert pool.v_current == 0 and pool.status == "replenishing"
+    # read after the run, which ended at 12 ms: the keys of instants 3-12
+    assert pool.generated == 10 + 10 and pool.delivered == 7 + 1 + 8
+    assert pool.v_current == 4 and pool.status == "replenishing"
 
 
 def test_pool_generated_is_fill_plus_instants_with_room():
@@ -542,7 +550,6 @@ def test_pool_generated_is_fill_plus_instants_with_room():
         kdn.schedule_request(int(rng.integers(0, 10**10)),
                              KeyRequest(id=rid, src=str(src), dst=str(dst), key_num=5))
     env.run(end_time=end)
-    kdn.clock.settle(end)
     assert all(room.values())  # every pool was drained and refilled
     for key, pool in kdn.pools.items():
         assert pool.generated == pool.v_max + room[key]
@@ -569,7 +576,6 @@ def test_hop_delay_equal_to_interval_keeps_one_clock():
     assert request.state == "done" and request.completed_ps == 12 * hop
     assert request.src_keys == request.dst_keys
     assert clock.event is None and env.fel == []
-    kdn.clock.settle(20 * hop)
     for pool in kdn.pools.values():
         assert pool.v_current == pool.v_max
         assert pool.generated - pool.delivered == pool.v_current
@@ -586,7 +592,6 @@ def test_added_keys_wake_only_waiting_resource_managers(monkeypatch):
     for pool in kdn.pools.values():
         pool.deliver(5)  # room for keys, but nothing waits for them
     env.run(end_time=10 * 10**9)
-    kdn.clock.settle(10 * 10**9)
     assert all(pool.generated == 15 for pool in kdn.pools.values())
     # the pools counted their keys themselves: no instant ran, none woke anyone
     assert calls == [] and env.trace == []
