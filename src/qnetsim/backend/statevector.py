@@ -6,6 +6,8 @@ bit of the amplitude index.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 NORM_TOL = 1e-10
@@ -48,10 +50,14 @@ class StateVector:
         self.n = n
 
     def copy(self) -> "StateVector":
-        clone = StateVector.__new__(StateVector)
-        clone.amps = self.amps.copy()
-        clone.n = self.n
-        return clone
+        return StateVector._of(self.amps.copy(), self.n)
+
+    @staticmethod
+    def _of(amps, n) -> "StateVector":
+        """A state holding `amps` itself, of n qubits per row (see `_apply`)."""
+        state = StateVector.__new__(StateVector)
+        state.amps, state.n = amps, n
+        return state
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
@@ -69,11 +75,8 @@ class StateVector:
     def append_qubit(self, single=KET0):
         """Tensor a fresh qubit onto the state as the new highest register."""
         single = np.asarray(single, dtype=complex)
-        size = self.amps.size
-        amps = np.empty(2 * size, dtype=complex)
-        np.multiply(single[0], self.amps, out=amps[:size])
-        np.multiply(single[1], self.amps, out=amps[size:])
-        self.amps = amps
+        rows = self.amps.reshape(-1, 1, 1 << self.n)  # one per state of a stack
+        self.amps = (single[:, None] * rows).reshape(-1)
         self.n += 1
 
     # ---- unitaries ------------------------------------------------------
@@ -97,18 +100,21 @@ class StateVector:
     def _apply(self, u, rows, targets):
         """`apply` without its checks: `u` is a complex 2^k x 2^k matrix,
         `rows` its `u.tolist()` and `targets` k distinct registers.  The
-        walker calls this with steps checked when their program was built.
+        walker calls this with steps checked when their program was built,
+        also on a stack: states of n qubits laid end to end in `amps`.
 
         Works in place on `amps`.  One-qubit gates and two-qubit gates of
         the form diag(I, U) (cnot, cz, cy, crx, cry, crz) update strided
-        views of the state; any other matrix goes through tensordot.  On a
-        state of at least _WIDE (2^15) amplitudes a one-qubit gate on
-        registers 1 to 11 runs over contiguous rows instead: a diagonal one
-        is one multiply by a tile of its factors, any other on registers 1
-        to 3 a product with kron(u, I), and a real one that is not
-        anti-diagonal a product per row.  Other gates take the views.
+        views of the state; any other matrix goes through tensordot, state
+        by state.  On a state of at least _WIDE (2^15) amplitudes a
+        one-qubit gate on registers 1 to 11 runs over contiguous rows
+        instead: a diagonal one is one multiply by a tile of its factors,
+        any other on registers 1 to 3 a product with kron(u, I), and a real
+        one that is not anti-diagonal a product per row.  Other gates take
+        the views.
         """
         k = len(targets)
+        count = self.amps.size >> self.n
         if k == 1:
             q = targets[0]
             if self.amps.size >= _WIDE and q:
@@ -121,7 +127,7 @@ class StateVector:
                 if q < _TILE_REGS and u[0, 0] != 0 and not u.imag.any():
                     _apply_real(self.amps, u.real, q)
                     return
-            _apply_2x2(rows, *self._halves(q))
+            _apply_2x2(rows, *self._halves(q), count)
             return
         if k == 2 and rows[:2] == _CONTROL_ROWS and rows[2][:2] == rows[3][:2] == [0, 0]:
             hi, lo = max(targets), min(targets)
@@ -132,18 +138,17 @@ class StateVector:
                 a0, a1 = v[:, 1, :, 0], v[:, 1, :, 1]
             else:
                 a0, a1 = v[:, 0, :, 1], v[:, 1, :, 1]
-            _apply_2x2([rows[2][2:], rows[3][2:]], a0, a1)
+            _apply_2x2([rows[2][2:], rows[3][2:]], a0, a1, count)
             return
-        psi = self.amps.reshape((2,) * self.n)
         axes = [self.n - 1 - q for q in targets]
-        psi = np.tensordot(u.reshape((2,) * (2 * k)), psi,
-                           axes=(list(range(k, 2 * k)), axes))
-        psi = np.moveaxis(psi, list(range(k)), axes)
-        self.amps = np.ascontiguousarray(psi).reshape(-1)
+        for row in self.amps.reshape((count,) + (2,) * self.n):
+            psi = np.tensordot(u.reshape((2,) * (2 * k)), row,
+                               axes=(list(range(k, 2 * k)), axes))
+            row[...] = np.moveaxis(psi, list(range(k)), axes)
 
     # ---- measurement ----------------------------------------------------
     def prob_one(self, reg) -> float:
-        return min(_sq_norm(self._halves(reg)[1]), 1.0)  # rounding can exceed 1
+        return min(float(self._sq_norms(reg, 1)[0]), 1.0)  # rounding can exceed 1
 
     def project(self, reg, bit, drop=False) -> float:
         """Collapse the register to `bit` in place, with `drop` removing it
@@ -154,7 +159,7 @@ class StateVector:
         known-defect test in bench/test_known_defects.py pins this: fixing
         it makes that strict xfail pass, which then fails the bench suite.
         """
-        p = 1.0 - _sq_norm(self._halves(reg)[1 - bit])
+        p = 1.0 - float(self._sq_norms(reg, 1 - bit)[0])
         self.collapse(reg, bit, p, drop)
         return p
 
@@ -189,6 +194,13 @@ class StateVector:
         branch.amps, branch.n = amps, self.n - drop
         return branch
 
+    def _sq_norms(self, reg, bit):
+        """Each row's sum of |amplitude|^2 where `reg` reads `bit`, read in
+        place as (re, im) pairs, in the order a state of its own sums."""
+        f = self.amps.reshape(self.amps.size >> self.n, -1, 2, 1 << reg)[:, :, bit]
+        f = f.view(np.float64)
+        return np.einsum("bij,bij->b", f, f)
+
     # ---- comparisons ----------------------------------------------------
     def fidelity(self, other: "StateVector") -> float:
         if self.n != other.n:
@@ -199,40 +211,50 @@ class StateVector:
         return f"StateVector(n={self.n})"
 
 
-def _apply_2x2(u, a0, a1):
-    """(a0, a1) <- u (a0, a1) in place, for a 2x2 matrix given as rows.
+def _apply_2x2(u, a0, a1, count=1):
+    """(a0, a1) <- u (a0, a1) in place, for a 2x2 matrix given as rows,
+    on the views of `count` stacked states (see _scale_rows).
 
     Diagonal matrices scale each view (a factor of exactly 1 is skipped);
     anti-diagonal ones swap the views, then scale.  Other matrices run
     block by block (see _blocks) through their temporaries.
     """
     (u00, u01), (u10, u11) = u
+    scale = _scale_rows if count > 1 and a0.size == count else operator.imul
     if u01 == 0 and u10 == 0:
         if u00 != 1:
-            a0 *= u00
+            scale(a0, u00)
         if u11 != 1:
-            a1 *= u11
+            scale(a1, u11)
         return
     for b0, b1 in _blocks(a0, a1):
         if u00 == 0 and u11 == 0:
             old0 = b0.copy()
             b0[...] = b1
             if u01 != 1:
-                b0 *= u01
+                scale(b0, u01)
             b1[...] = old0
             if u10 != 1:
-                b1 *= u10
+                scale(b1, u10)
         elif u00 == u01 == u10 == -u11:  # Hadamard-like: sum and difference
             diff = b0 - b1
             b0 += b1
-            b0 *= u00
+            scale(b0, u00)
             np.multiply(diff, u00, out=b1)
         else:
             new1 = b0 * u10
-            b0 *= u00
+            scale(b0, u00)
             b0 += b1 * u01
-            b1 *= u11
+            scale(b1, u11)
             b1 += new1
+
+
+def _scale_rows(a, c):
+    """a *= c row by row, where each stacked state holds one element of
+    `a`: numpy multiplies one element in place without FMA (fused
+    multiply-add), while its array loops fuse."""
+    for row in a:
+        row *= c
 
 
 def _scale_tiled(amps, d0, d1, reg):
@@ -286,9 +308,3 @@ def _blocks(a0, a1):
         for i in range(len(a0)):
             yield from _blocks(a0[i], a1[i])
 
-
-def _sq_norm(a) -> float:
-    """Sum of |a|^2 over a 2-d complex view whose last axis is contiguous,
-    read in place as (re, im) pairs."""
-    f = a.view(np.float64)
-    return float(np.einsum("ij,ij->", f, f))

@@ -21,7 +21,7 @@ import numpy as np
 from .compiler.compile import (CompileError, compile_protocol,
                                defer_measurements)
 from .compiler.script import load_script
-from .scenarios import ScenarioError, resolve, run_scenario
+from .scenarios import ScenarioError, resolve, run_resolved
 
 _TIME_UNITS_PS = {"s": 10**12, "ms": 10**9, "us": 10**6, "ns": 10**3, "ps": 1}
 
@@ -67,14 +67,14 @@ def _apply_overrides(config, args):
 def cmd_run(args) -> int:
     try:
         config = _apply_overrides(_load_config(args.config), args)
-        settings = resolve(config)[1]
+        run, settings = resolve(config)
         out_dir = Path(args.out_dir)
     except (OSError, TypeError, ValueError) as exc:  # ScenarioError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     logging.basicConfig(level=settings["log_level"])  # records go to stderr
     try:
-        metrics = run_scenario(config, settings["seed"], out_dir)
+        metrics = run_resolved(config, run, settings, settings["seed"], out_dir)
     except ScenarioError as exc:  # a check across keys, made by the runner
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -141,8 +141,8 @@ def cmd_sweep(args) -> int:
             cfg = copy.deepcopy(config)
             raw = int(value) if value.is_integer() else value
             _set_by_path(cfg, args.parameter, raw)
-            settings = resolve(cfg)[1]  # a rejected value starts no run
-            jobs.extend((value, cfg, settings["seed"] + 1000 * rep,
+            run, settings = resolve(cfg)  # a rejected value starts no run
+            jobs.extend((value, cfg, run, settings, settings["seed"] + 1000 * rep,
                          out_dir / f"value_{raw}_rep_{rep}")
                         for rep in range(args.replications))
     except (OSError, TypeError, ValueError) as exc:
@@ -153,7 +153,7 @@ def cmd_sweep(args) -> int:
     try:
         with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as ex:
             results = list(ex.map(
-                lambda j: (j[0], run_scenario(*j[1:])["primary"]), jobs))
+                lambda j: (j[0], run_resolved(*j[1:])["primary"]), jobs))
     except ScenarioError as exc:  # a check across keys, made by the runner
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -41,12 +41,6 @@ def _check_order(graph: ResourceGraph, order, specs=None):
             earlier.add(v)
 
 
-def _rotation(spec):
-    """Basis callback of a measurement: the rotation taking the spec's
-    basis, adapted to earlier outcomes, to Z, kept by the spec."""
-    return spec.rotation
-
-
 def _program(graph: ResourceGraph, order, specs=None, dense=False):
     """The pattern's walker program and its peak number of active vertices.
 
@@ -83,8 +77,7 @@ def _program(graph: ResourceGraph, order, specs=None, dense=False):
                 realize(j, k)
         peak = max(peak, len(active))
         pos = active.index(k)
-        basis = None if specs is None else _rotation(specs[k])
-        program.append(Measure(pos, k, basis, True))
+        program.append(Measure(pos, k, None if specs is None else specs[k], True))
         active.pop(pos)
     return program, peak
 
@@ -97,7 +90,7 @@ def run_pattern(graph: ResourceGraph, order, specs: dict, rng) -> dict:
     """Execute the pattern; returns {vertex: outcome bit}."""
     _check_order(graph, order, specs)
     outcomes = {}
-    walk(_program(graph, order, specs)[0], _input_state(graph), shot_split(rng), None,
+    walk(_program(graph, order, specs)[0], _input_state(graph), shot_split(rng), 1,
          lambda seen, _weight, _state: outcomes.update(seen))
     return outcomes
 

@@ -117,14 +117,13 @@ class MeasurementSpec:
             return self.explicit_basis
         return plane_basis(self.plane, (-1) ** s * self.angle + t * np.pi)
 
-    def rotation(self, outcomes: dict):
-        """The rotation taking the adapted basis to Z (v0 -> |0>, v1 -> |1>),
-        built on the first measurement with each (s, t) parity."""
-        st = self.parities(outcomes)
-        if st not in self._rotations:
-            v0, v1 = self.basis_for(*st)
-            self._rotations[st] = np.array([v0.conj(), v1.conj()])
-        return self._rotations[st]
+    def rotation(self, s, t):
+        """The rotation taking the basis adapted to the parities (s, t) to
+        Z (v0 -> |0>, v1 -> |1>), built on its first use."""
+        if (s, t) not in self._rotations:
+            v0, v1 = self.basis_for(s, t)
+            self._rotations[s, t] = np.array([v0.conj(), v1.conj()])
+        return self._rotations[s, t]
 
     def references(self):
         return tuple(self.s_domain) + tuple(self.t_domain)

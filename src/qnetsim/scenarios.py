@@ -18,8 +18,8 @@ import numpy as np
 
 from . import __version__
 from .des import SimEnv
-from .netmodel.channel import (ClassicalFiberChannel, QuantumFiberChannel,
-                               loss_interpolator, survival_probability)
+from .netmodel.channel import (QuantumFiberChannel, loss_interpolator,
+                               survival_probability)
 from .netmodel.devices import PhotonSource, PolarizationDetector
 from .netmodel.mobility import Mobility, triangular_trajectory
 from .netmodel.network import Link, Network, Node
@@ -118,10 +118,6 @@ def run_bb84(settings, env, out_dir):
     network.install_node(bob)
     link = Link("alice-bob", ends=(alice, bob), env=env)
     network.install_link(link)
-    link.install_channel(ClassicalFiberChannel("c:a->b", alice, bob,
-                                               distance_km, env=env))
-    link.install_channel(ClassicalFiberChannel("c:b->a", bob, alice,
-                                               distance_km, env=env))
     link.install_channel(QuantumFiberChannel("q:a->b", alice, bob,
                                              distance_km, env=env))
     result = bb84_generate(alice, bob, settings["pulses"], rng=env.rng_for("bb84"))
@@ -297,7 +293,11 @@ def resolve(config):
 def run_scenario(config, seed, out_dir):
     """Run a config's scenario on a fresh environment and write its files:
     the runner's results, then `trace.log` and `manifest.json`."""
-    run, settings = resolve(config)
+    return run_resolved(config, *resolve(config), seed, out_dir)
+
+
+def run_resolved(config, run, settings, seed, out_dir):
+    """`run_scenario` of a config that `resolve` turned into (run, settings)."""
     env = SimEnv(config["scenario"], seed=seed)
     out_dir = Path(out_dir)
     metrics = run(settings, env, out_dir)

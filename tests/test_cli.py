@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from qnetsim import scenarios
 from qnetsim.cli import main, parse_time_ps
 from qnetsim.netmodel.devices import PhotonSource, PolarizationDetector
 from qnetsim.scenarios import _COMMON_KEYS, _SCENARIOS
@@ -69,6 +70,22 @@ def test_run_chsh_writes_results(tmp_path, capsys):
     assert abs(float(rows[1][3]) - 0.8536) < 0.02
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["seed"] == 7
+
+
+def test_run_converts_a_bb84_config_once(tmp_path, capsys, monkeypatch):
+    """Each device key builds its one throwaway check device, on one
+    SimEnv("check"), per run."""
+    checks = []
+    sim_env = scenarios.SimEnv
+
+    def counting_env(name, *args, **kwargs):
+        checks.append(name)
+        return sim_env(name, *args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "SimEnv", counting_env)
+    cfg = _write_config(tmp_path, {"scenario": "bb84", "pulses": 200})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    assert checks == ["check", "check", "bb84"]  # source, detector, then the run
 
 
 def test_run_missing_config_exits_2(tmp_path, capsys):

@@ -12,7 +12,7 @@ from qnetsim.mbqc import (MeasurementSpec, ResourceGraph, dense_oracle,
                           dump_pattern, load_pattern, max_active_width,
                           run_pattern)
 from qnetsim.mbqc import pattern
-from qnetsim.mbqc.engine import _rotation, sample_pattern
+from qnetsim.mbqc.engine import sample_pattern
 from qnetsim.mbqc.pattern import plane_basis, x_measurement, z_measurement
 
 
@@ -68,18 +68,18 @@ def test_explicit_basis_must_be_orthonormal():
                                                ((0, 1), (1,))])
 def test_cached_rotations_equal_the_adapted_basis(plane, s_domain, t_domain):
     spec = MeasurementSpec(2, plane, 0.83, s_domain=s_domain, t_domain=t_domain)
-    rotation = _rotation(spec)
     for a in (0, 1):
         for b in (0, 1):
             outcomes = {0: a, 1: b}
             v0, v1 = spec.basis(outcomes)
-            assert np.array_equal(rotation(outcomes), np.array([v0.conj(), v1.conj()]))
+            assert np.array_equal(spec.rotation(*spec.parities(outcomes)),
+                                  np.array([v0.conj(), v1.conj()]))
 
 
 def test_cached_rotation_of_an_explicit_basis():
     v0, v1 = np.array([0.6, 0.8j]), np.array([0.8, -0.6j])
-    rotation = _rotation(MeasurementSpec(0, explicit_basis=(v0, v1)))
-    assert np.array_equal(rotation({}), np.array([v0.conj(), v1.conj()]))
+    spec = MeasurementSpec(0, explicit_basis=(v0, v1))
+    assert np.array_equal(spec.rotation(0, 0), np.array([v0.conj(), v1.conj()]))
 
 
 def test_measurement_specs_are_frozen():
