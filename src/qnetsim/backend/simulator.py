@@ -5,12 +5,13 @@ flat list of steps over register positions: `Gate(matrix, rows, regs,
 cond)`, `Alloc(single)` (a fresh highest register) and `Measure(reg, key,
 basis, drop)`, checked and placed once, when the program is built, so
 the branches live at one step share a width and are walked as one
-stack.  At a measurement a split rule picks the outcomes to follow:
-`exact_split` enumerates both, `stratified_split` divides a shot count
-binomially and `shot_split` samples one.  `run_circuit` walks its
-program once with the stratified rule: the histogram is multinomial over
-the leaves, as for independent shots, and each realised branch is
-evolved once, not once per shot.
+stack; a circuit of at least _WIDE (2^15) amplitudes fuses its one-qubit
+gates there (`circuit_program`).  At a measurement a split rule picks
+the outcomes to follow: `exact_split` enumerates both, `stratified_split`
+divides a shot count binomially and `shot_split` samples one.
+`run_circuit` walks its program once with the stratified rule: the
+histogram is multinomial over the leaves, as for independent shots, and
+each realised branch is evolved once, not once per shot.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .gates import gate_matrix
-from .statevector import _WIDE, StateVector
+from .statevector import _WIDE, StateVector, _is_controlled
 
 EXACT_STATE_MAX_WIDTH = 20
 
@@ -258,24 +259,50 @@ def _apply_to(state, rows, u, u_rows, regs):
         stack[pick] = part.amps.reshape(len(pick), -1)
 
 
-def circuit_program(instructions):
-    """Walker program of circuit instructions (checked when built and by
-    `Circuit.validate`), one step each; every gate matrix and its rows are
-    looked up once."""
-    return [Measure(inst.regs[0], inst.regs[0]) if inst.name == "measure"
-            else Gate(u := gate_matrix(inst.name, inst.params), u.tolist(), inst.regs,
-                      inst.cond)
-            for inst in instructions]
+def circuit_program(circ: Circuit):
+    """Walker program of a circuit (checked when built and by
+    `Circuit.validate`); every gate matrix and its rows are looked up once.
+
+    A circuit of fewer than _WIDE (2^15) amplitudes gets one step per
+    instruction.  A wider one keeps one pending product of unconditioned
+    one-qubit gates per register, emitted (in ascending register order,
+    unless exactly I) before every measurement, before a conditioned or
+    two-qubit gate on that register and at the end; a diagonal one on the
+    control of a diag(I, U) gate commutes with it and stays pending.
+    """
+    fuse, program, pending = 1 << circ.width >= _WIDE, [], {}
+
+    def flush(regs):
+        for r in sorted(regs):
+            if r in pending and not np.array_equal(u := pending.pop(r), np.eye(2)):
+                program.append(Gate(u, u.tolist(), (r,)))
+
+    for inst in circ:
+        if inst.name == "measure":
+            flush(list(pending))
+            program.append(Measure(inst.regs[0], inst.regs[0]))
+            continue
+        u, (r, *rest) = gate_matrix(inst.name, inst.params), inst.regs
+        if fuse and inst.cond is None and not rest:
+            pending[r] = u @ pending[r] if r in pending else u
+            continue
+        rows = u.tolist()
+        diagonal = r in pending and pending[r][0, 1] == pending[r][1, 0] == 0
+        flush(rest if inst.cond is None and diagonal and _is_controlled(rows) else inst.regs)
+        program.append(Gate(u, rows, inst.regs, inst.cond))
+    flush(list(pending))
+    return program
 
 
-def _bitstring(outcomes, regs):
-    return "".join(str(outcomes[r]) for r in regs)
+def _bitstring(outcomes, keys):
+    return "".join(["01"[outcomes[k]] for k in keys])
 
 
-def check_shots(shots):
-    """Reject a shot count that is negative or not an integer."""
+def check_shots(shots) -> int:
+    """The shot count as a Python int; rejects a negative or non-integer one."""
     if isinstance(shots, bool) or not isinstance(shots, (int, np.integer)) or shots < 0:
         raise ValueError(f"shots must be a non-negative integer, got {shots!r}")
+    return int(shots)
 
 
 def run_circuit(circ: Circuit, shots: int, seed=0) -> Counter:
@@ -287,7 +314,7 @@ def run_circuit(circ: Circuit, shots: int, seed=0) -> Counter:
     exactly as for `shots` independent runs, while every realised branch
     is evolved once.
     """
-    check_shots(shots)
+    shots = check_shots(shots)
     circ.validate()
     regs = circ.measured_regs
     hist = Counter()
@@ -305,7 +332,8 @@ def exact_state(circ: Circuit) -> dict:
     """Exact branch enumeration over measurement outcomes.
 
     Returns {bitstring over measured registers (ascending index):
-    (probability, StateVector)}.  Zero-probability branches are pruned.
+    (probability, StateVector)}.  Branches below probability 1e-14 are cut
+    (`exact_split`): ry(1e-8) then a measurement gives only '0', not '1' (2.5e-17).
     """
     circ.validate()
     if circ.width > EXACT_STATE_MAX_WIDTH:

@@ -18,17 +18,20 @@ PLUS = np.array([1, 1], dtype=complex) / np.sqrt(2)
 
 # Top rows of a controlled two-qubit matrix diag(I, U), as nested lists.
 _CONTROL_ROWS = [[1, 0, 0, 0], [0, 1, 0, 0]]
+_SWAP_ROWS = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+_X_ROWS = [[0, 1], [1, 0]]
 
 # Amplitudes per block in _apply_2x2 (floats per block in _in_blocks): a
 # block's operands and temporaries stay in cache across its passes.
 _BLOCK = 1 << 14
 
-# On states of at least _WIDE amplitudes, one-qubit gates on registers 1
-# to _TILE_REGS - 1 run over contiguous rows (see apply); on register 0
-# and higher registers the strided halves are as fast.  Measured bounds.
+# On states of at least _WIDE amplitudes, one-qubit gates on registers
+# below _TILE_REGS run over contiguous rows (see apply); on higher
+# registers the strided halves are as fast.  Measured bounds.
 _WIDE = 1 << 15
 _ROW_REGS = 4
 _TILE_REGS = 12
+_MASK_REGS = 8  # collapse over contiguous rows below this register
 
 # (re, im) -> (re, im) of a multiplication by i, in the row-vector form
 # x @ m of _apply_rows.
@@ -105,41 +108,49 @@ class StateVector:
 
         Works in place on `amps`.  One-qubit gates and two-qubit gates of
         the form diag(I, U) (cnot, cz, cy, crx, cry, crz) update strided
-        views of the state; any other matrix goes through tensordot, state
-        by state.  On a state of at least _WIDE (2^15) amplitudes a
-        one-qubit gate on registers 1 to 11 runs over contiguous rows
-        instead: a diagonal one is one multiply by a tile of its factors,
-        any other on registers 1 to 3 a product with kron(u, I), and a real
-        one that is not anti-diagonal a product per row.  Other gates take
-        the views.
+        views of the state, and swap exchanges two; any other matrix goes
+        through tensordot, state by state.  x, a cnot's X and swap only copy
+        (`_exchange`), each contiguous run of amplitudes as one element.  On
+        a state of at least _WIDE (2^15) amplitudes a one-qubit gate other
+        than x on registers 0 to 11 runs over contiguous rows instead: a
+        diagonal one is one multiply by a tile of its factors, any other on
+        registers 0 to 3 a product with kron(u, I) and on 4 to 11 a product
+        per row, between two diagonal tiles if it is complex.
+        Other gates take the views.
         """
         k = len(targets)
         count = self.amps.size >> self.n
         if k == 1:
             q = targets[0]
-            if self.amps.size >= _WIDE and q:
+            if self.amps.size >= _WIDE and rows != _X_ROWS:
                 if u[0, 1] == u[1, 0] == 0 and q < _TILE_REGS:
                     _scale_tiled(self.amps, u[0, 0], u[1, 1], q)
                     return
                 if q < _ROW_REGS:
                     _apply_rows(self.amps, u, q)
                     return
-                if q < _TILE_REGS and u[0, 0] != 0 and not u.imag.any():
-                    _apply_real(self.amps, u.real, q)
+                if q < _TILE_REGS:
+                    if u.imag.any():
+                        _apply_phased(self.amps, u, q)
+                    else:
+                        _apply_real(self.amps, u.real, q)
                     return
             _apply_2x2(rows, *self._halves(q), count)
             return
-        if k == 2 and rows[:2] == _CONTROL_ROWS and rows[2][:2] == rows[3][:2] == [0, 0]:
+        if k == 2:
             hi, lo = max(targets), min(targets)
-            # axis 1 is register hi, axis 3 register lo; U acts where
-            # the control reads 1
+            # axis 1 is register hi, axis 3 register lo
             v = self.amps.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-            if targets[0] == hi:
-                a0, a1 = v[:, 1, :, 0], v[:, 1, :, 1]
-            else:
-                a0, a1 = v[:, 0, :, 1], v[:, 1, :, 1]
-            _apply_2x2([rows[2][2:], rows[3][2:]], a0, a1, count)
-            return
+            if _is_controlled(rows):  # U acts where the control reads 1
+                if targets[0] == hi:
+                    a0, a1 = v[:, 1, :, 0], v[:, 1, :, 1]
+                else:
+                    a0, a1 = v[:, 0, :, 1], v[:, 1, :, 1]
+                _apply_2x2([rows[2][2:], rows[3][2:]], a0, a1, count)
+                return
+            if rows == _SWAP_ROWS:
+                _exchange(v[:, 0, :, 1], v[:, 1, :, 0])
+                return
         axes = [self.n - 1 - q for q in targets]
         for row in self.amps.reshape((count,) + (2,) * self.n):
             psi = np.tensordot(u.reshape((2,) * (2 * k)), row,
@@ -167,8 +178,9 @@ class StateVector:
         """The branch where register `reg` reads `bit`, of probability `p`,
         in one pass: the kept half times 1/sqrt(p), written with `drop`
         straight into a new buffer without the register, else beside a
-        zeroed other half.  `in_place` updates and returns this state;
-        otherwise a new state is returned and this one is left unchanged.
+        zeroed other half (over contiguous rows on a low register of a wide
+        state).  `in_place` updates and returns this state; otherwise a new
+        state is returned and this one is left unchanged.
 
         The scale multiplies by the complex 1/sqrt(p) - 0j: numpy divides
         complex128 by a real d as (re + im * 0, im - re * 0) * (1/d), so
@@ -181,6 +193,10 @@ class StateVector:
             raise ValueError(f"projection onto outcome {bit} has zero probability")
         halves = self._halves(reg)
         kept, scale = halves[bit], complex(1.0 / np.sqrt(p), -0.0)
+        if self.amps.size >= _WIDE and reg < _MASK_REGS and not drop:
+            branch = self if in_place else StateVector._of(np.empty_like(self.amps), self.n)
+            _collapse_rows(self.amps, branch.amps, reg, bit, scale)
+            return branch
         if in_place and not drop:
             halves[1 - bit][...] = 0.0
             kept *= scale
@@ -211,6 +227,11 @@ class StateVector:
         return f"StateVector(n={self.n})"
 
 
+def _is_controlled(rows):
+    """True iff the 4x4 matrix given as rows has the form diag(I, U)."""
+    return rows[:2] == _CONTROL_ROWS and rows[2][:2] == rows[3][:2] == [0, 0]
+
+
 def _apply_2x2(u, a0, a1, count=1):
     """(a0, a1) <- u (a0, a1) in place, for a 2x2 matrix given as rows,
     on the views of `count` stacked states (see _scale_rows).
@@ -227,16 +248,15 @@ def _apply_2x2(u, a0, a1, count=1):
         if u11 != 1:
             scale(a1, u11)
         return
+    if u00 == 0 and u11 == 0:
+        _exchange(a0, a1)
+        if u01 != 1:
+            scale(a0, u01)
+        if u10 != 1:
+            scale(a1, u10)
+        return
     for b0, b1 in _blocks(a0, a1):
-        if u00 == 0 and u11 == 0:
-            old0 = b0.copy()
-            b0[...] = b1
-            if u01 != 1:
-                scale(b0, u01)
-            b1[...] = old0
-            if u10 != 1:
-                scale(b1, u10)
-        elif u00 == u01 == u10 == -u11:  # Hadamard-like: sum and difference
+        if u00 == u01 == u10 == -u11:  # Hadamard-like: sum and difference
             diff = b0 - b1
             b0 += b1
             scale(b0, u00)
@@ -264,6 +284,16 @@ def _scale_tiled(amps, d0, d1, reg):
     rows *= np.tile(np.repeat([d0, d1], 1 << reg), _BLOCK >> (reg + 1))
 
 
+def _collapse_rows(amps, out, reg, bit, scale):
+    """out = amps * scale where register `reg` reads `bit`, +0.0 elsewhere:
+    per block of _BLOCK amplitudes, a multiply, then an AND with a bit mask."""
+    mask = np.zeros((_BLOCK >> (reg + 1), 2, 2 << reg), np.uint64)
+    mask[:, bit] = ~np.uint64(0)
+    for block, dst in zip(amps.reshape(-1, _BLOCK), out.reshape(-1, _BLOCK)):
+        np.multiply(block, scale, out=dst)
+        np.bitwise_and(dst.view(np.uint64), mask.reshape(-1), out=dst.view(np.uint64))
+
+
 def _apply_rows(amps, u, reg):
     """Apply the 2x2 `u` to a low register `reg`: each contiguous row of
     2^(reg + 1) amplitudes is multiplied by kron(u, I), as a real matrix
@@ -282,29 +312,61 @@ def _apply_real(amps, u, reg):
                lambda block, out: np.matmul(u, block, out=out))
 
 
+def _apply_phased(amps, u, reg):
+    """Apply the complex unitary 2x2 `u` to register `reg` as diag(l) @ m
+    @ diag(r), m real (exact but for its smallest entry, which may be a
+    fused product's residue): per block of contiguous rows, a multiply by
+    a tile of r, the product of `_apply_real` and one by a tile of l."""
+    a = np.angle(u)
+    a1 = a[1, 1] - a[0, 1] + a[0, 0] if abs(u[0, 0]) >= abs(u[0, 1]) else a[1, 0]
+    l, r = np.exp(1j * np.array([a[0, 0], a1])), np.exp(1j * np.array([0.0, a[0, 1] - a[0, 0]]))
+    m = (l.conj()[:, None] * u * r.conj()).real
+    lt, rt = (np.tile(np.repeat(d, 1 << reg), _BLOCK // (4 << reg)) for d in (l, r))
+
+    def product(block, out):
+        block.view(complex).reshape(-1)[...] *= rt
+        np.matmul(m, block, out=out)
+        out.view(complex).reshape(-1)[...] *= lt
+    _in_blocks(amps.view(np.float64).reshape(-1, 2, 2 << reg), product)
+
+
 def _in_blocks(rows, product):
-    """Replace `rows` block by block (_BLOCK floats each) by
+    """Replace `rows` block by block (_BLOCK elements each) by
     product(block, out), which writes into the block-sized `out`."""
     step = _BLOCK // rows[0].size
-    out = np.empty((step,) + rows.shape[1:])
+    out = np.empty((step,) + rows.shape[1:], rows.dtype)
     for i in range(0, len(rows), step):
         block = rows[i:i + step]
         product(block, out)
         block[...] = out
 
 
-def _blocks(a0, a1):
-    """Matching sub-views of (a0, a1) of at most _BLOCK amplitudes, split
+def _exchange(a0, a1):
+    """Swap the equal-shaped complex views a0 and a1 in place, block by
+    block through one temporary.  Their last axis is contiguous, so each
+    run of it (at most _BLOCK amplitudes) copies as one np.void element."""
+    run = min(a0.shape[-1], _BLOCK) if a0.size > _BLOCK else 1
+    if run > 1:
+        a0, a1 = (a.reshape(a.shape[:-1] + (-1, run)).view((np.void, a.itemsize * run))[..., 0]
+                  for a in (a0, a1))
+    for b0, b1 in _blocks(a0, a1, _BLOCK // run):
+        old0 = b0.copy()
+        b0[...] = b1
+        b1[...] = old0
+
+
+def _blocks(a0, a1, limit=_BLOCK):
+    """Matching sub-views of (a0, a1) of at most `limit` elements, split
     along the leading axes."""
-    if a0.size <= _BLOCK:
+    if a0.size <= limit:
         yield a0, a1
         return
     inner = a0.size // len(a0)
-    if inner <= _BLOCK:
-        step = _BLOCK // inner
+    if inner <= limit:
+        step = limit // inner
         for i in range(0, len(a0), step):
             yield a0[i:i + step], a1[i:i + step]
     else:
         for i in range(len(a0)):
-            yield from _blocks(a0[i], a1[i])
+            yield from _blocks(a0[i], a1[i], limit)
 

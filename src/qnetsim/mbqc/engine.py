@@ -16,8 +16,8 @@ every register position is resolved when the program is built.
 from __future__ import annotations
 
 from ..backend.gates import gate_matrix
-from ..backend.simulator import (Alloc, Gate, Measure, check_shots, exact_split,
-                                 shot_split, stratified_split, walk)
+from ..backend.simulator import (Alloc, Gate, Measure, _bitstring, check_shots,
+                                 exact_split, shot_split, stratified_split, walk)
 from ..backend.statevector import PLUS, StateVector
 from .pattern import ResourceGraph
 
@@ -111,13 +111,13 @@ def sample_pattern(graph: ResourceGraph, order, specs: dict, shots: int,
     state evolution happens once per realized branch instead of once per
     shot.  Keys are outcome bitstrings in measurement order.
     """
-    check_shots(shots)
+    shots = check_shots(shots)
     _check_order(graph, order, specs)
     counts = {}
 
     def leaf(outcomes, n, _state):
         if n:
-            counts["".join(str(outcomes[v]) for v in order)] = n
+            counts[_bitstring(outcomes, order)] = n
 
     walk(_program(graph, order, specs)[0], _input_state(graph), stratified_split(rng),
          shots, leaf)
@@ -139,7 +139,7 @@ def dense_oracle(graph: ResourceGraph, specs: dict, order) -> dict:
     dist = {}
 
     def leaf(outcomes, prob, _state):
-        dist["".join(str(outcomes[v]) for v in order)] = prob
+        dist[_bitstring(outcomes, order)] = prob
 
     walk(_program(graph, order, specs, dense=True)[0], _input_state(graph), exact_split,
          1.0, leaf)

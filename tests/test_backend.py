@@ -183,11 +183,14 @@ def two_by_two(rng, kind):
             "anti-diagonal": np.array([[0, a], [b, 0]]),
             "hadamard-like": c * gate_matrix("h"),
             "real": gate_matrix("ry", (rng.uniform(0, 2 * np.pi),)),
-            "gate": gate_matrix(["x", "y", "z", "s", "t", "h"][int(rng.integers(6))])}[kind]
+            "gate": gate_matrix(["x", "y", "z", "s", "t", "h"][int(rng.integers(6))]),
+            # a fused product: entries that should vanish are rounding residue
+            "fused": np.linalg.multi_dot([gate_matrix(name) for name in
+                                          rng.choice(["x", "y", "s", "t", "h"], size=8)])}[kind]
 
 
 @pytest.mark.parametrize("kind", ["random", "diagonal", "anti-diagonal", "hadamard-like",
-                                  "real", "gate"])
+                                  "real", "gate", "fused"])
 @settings(max_examples=4, deadline=None)
 @given(st.integers(WIDE_QUBITS, WIDE_QUBITS + 1), st.integers(0, 2**32 - 1))
 def test_apply_one_qubit_gates_on_wide_states_match_reference(kind, n, seed):
