@@ -331,10 +331,10 @@ def _apply_phased(amps, u, reg):
 
 
 def _in_blocks(rows, product):
-    """Replace `rows` block by block (_BLOCK elements each) by
+    """Replace `rows` block by block (_BLOCK floats each) by
     product(block, out), which writes into the block-sized `out`."""
     step = _BLOCK // rows[0].size
-    out = np.empty((step,) + rows.shape[1:], rows.dtype)
+    out = np.empty((step,) + rows.shape[1:])
     for i in range(0, len(rows), step):
         block = rows[i:i + step]
         product(block, out)
